@@ -2,7 +2,6 @@
 rate exponent eta, sum-space norm upper bounds, and the two energies."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +9,7 @@ import numpy as np
 from .errors import ConfigError
 from .fock import ManyBodyState
 from .lattice import LatticeField, lp_norm
-from .onebody import HartreeTrajectory, Orbital, hartree_energy, mean_field_potential
+from .onebody import Orbital, hartree_energy, mean_field_potential
 from .propagate import expectation
 
 
@@ -61,16 +60,20 @@ def wnorm_upper_bound(
     return float(best)
 
 
-def phi_envelope_integral(
-    traj: HartreeTrajectory, w_norm_bound: float, q1: float, q2: float, t: float
-) -> float:
-    """32 ||w||_{L^p1+L^p2} * int_0^t (||phi(s)||_q1 + ||phi(s)||_q2) ds,
-    trapezoidal on the stored trajectory."""
+def envelope_integrand(orbitals: list[Orbital], q1: float, q2: float) -> np.ndarray:
+    """||phi(s)||_q1 + ||phi(s)||_q2 at every step of a Hartree solution."""
     if not (2 <= q2 <= q1):
         raise ConfigError(f"need 2 <= q2 <= q1, got q1={q1}, q2={q2}")
-    i = traj.index_of(t)
-    integrand = traj.lp_norms(q1) + traj.lp_norms(q2)
-    integral = np.trapezoid(integrand[: i + 1], traj.times[: i + 1]) if i > 0 else 0.0
+    norms = {q: np.array([lp_norm(o.field(), q) for o in orbitals]) for q in {q1, q2}}
+    return norms[q1] + norms[q2]
+
+
+def phi_envelope_integral(
+    integrand: np.ndarray, times: np.ndarray, w_norm_bound: float
+) -> float:
+    """32 ||w||_{L^p1+L^p2} * int_0^t (||phi(s)||_q1 + ||phi(s)||_q2) ds,
+    trapezoidal over the step prefix given (t = times[-1])."""
+    integral = np.trapezoid(integrand, times) if len(times) > 1 else 0.0
     return float(32.0 * w_norm_bound * integral)
 
 
@@ -106,16 +109,15 @@ def sobolev_sup_norm(phi: Orbital, h: np.ndarray) -> float:
     return float(x12 + np.max(np.abs(phi.values)))
 
 
-def phi_tilde_integral(traj: HartreeTrajectory, h: np.ndarray, t: float) -> float:
-    """int_0^t (1 + ||phi(s)||^3_{X_1^2 cap L^inf}) ds, trapezoidal."""
-    key = ("x12_linf", id(h))
-    if key not in traj._norm_cache:
-        traj._norm_cache[key] = np.array(
-            [sobolev_sup_norm(o, h) for o in traj.orbitals]
-        )
-    i = traj.index_of(t)
-    integrand = 1.0 + traj._norm_cache[key] ** 3
-    return float(np.trapezoid(integrand[: i + 1], traj.times[: i + 1])) if i > 0 else 0.0
+def phi_tilde_integrand(orbitals: list[Orbital], h: np.ndarray) -> np.ndarray:
+    """1 + ||phi(s)||^3_{X_1^2 cap L^inf} at every step of a Hartree solution."""
+    return 1.0 + np.array([sobolev_sup_norm(o, h) for o in orbitals]) ** 3
+
+
+def phi_tilde_integral(integrand: np.ndarray, times: np.ndarray) -> float:
+    """int_0^t (1 + ||phi(s)||^3_{X_1^2 cap L^inf}) ds, trapezoidal over the
+    step prefix given (t = times[-1])."""
+    return float(np.trapezoid(integrand, times)) if len(times) > 1 else 0.0
 
 
 def beta_bound_envelope(
@@ -148,19 +150,3 @@ def fitted_K(
         ks.append(np.log(b / base) / ph)
     return float(max(ks))
 
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Per-time envelope evaluation for the alpha Gronwall bound."""
-
-    times: np.ndarray
-    alpha: np.ndarray
-    envelope: np.ndarray
-
-    @property
-    def slack(self) -> np.ndarray:
-        return self.envelope - self.alpha
-
-    @property
-    def violated(self) -> bool:
-        return bool(np.any(self.slack < -1e-9))

@@ -20,12 +20,10 @@ from .harness import (
     records_csv,
     run_simulation,
     sweep_N,
-    write_csv,
 )
 
 _FLOAT_KEYS = {"dx", "tfinal", "dt", "K"}
 _INT_KEYS = {"sites", "particles", "stride", "dim", "seed"}
-_STR_KEYS = {"potential", "interaction", "initial", "p", "method", "out"}
 
 
 def _parse_pnorm(s: str) -> float:

@@ -51,13 +51,13 @@ class OccupationBasis:
 
 
 @lru_cache(maxsize=None)
-def enumerate_basis(M: int, N: int, cap: int = BASIS_CAP) -> OccupationBasis:
+def enumerate_basis(M: int, N: int) -> OccupationBasis:
     if M < 1 or N < 0:
         raise ConfigError(f"need M >= 1 sites and N >= 0 particles, got M={M}, N={N}")
     dim = math.comb(N + M - 1, N)
-    if dim > cap:
+    if dim > BASIS_CAP:
         raise ConfigError(
-            f"occupation basis for M={M}, N={N} has {dim} states, above the cap {cap}"
+            f"occupation basis for M={M}, N={N} has {dim} states, above the cap {BASIS_CAP}"
         )
     states = np.array(list(_compositions(M, N)), dtype=np.int64)
     index = {tuple(int(n) for n in row): i for i, row in enumerate(states)}

@@ -3,7 +3,6 @@ orbital on one time grid, emit indicator/bound records, run N-sweeps with
 rate fits, and produce the eta(p) curve."""
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -14,12 +13,14 @@ from .bounds import (
     beta_bound_envelope,
     conjugate_q,
     energies,
+    envelope_integrand,
     eta_of,
     fitted_K,
     gronwall_alpha_bound,
     p0_of,
     phi_envelope_integral,
     phi_tilde_integral,
+    phi_tilde_integrand,
     wnorm_upper_bound,
 )
 from .condensate import alpha_of, beta_of, occupation_weights
@@ -235,7 +236,8 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     H = build_HN(h, w, basis)
     steps = cfg.steps
 
-    traj = evolve_hartree(grid, v, w, phi0, cfg.dt, steps)
+    orbitals = evolve_hartree(grid, v, w, phi0, cfg.dt, steps)
+    times = cfg.dt * np.arange(steps + 1)
 
     w_bound = wnorm_upper_bound(w, cfg.p1, cfg.p2, default_cutoffs(w))
     q1, q2 = conjugate_q(cfg.p1), conjugate_q(cfg.p2)
@@ -244,7 +246,7 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     pcfg = PropagatorConfig(
         dt=cfg.dt,
         steps=steps,
-        method="dense-eig" if cfg.method == "dense" else "krylov",
+        method=cfg.method,
         krylov_tol=1e-12,
     )
     stepper = NBodyStepper(H, pcfg)
@@ -261,7 +263,7 @@ def run_simulation(cfg: RunConfig) -> RunResult:
         if k == record_steps[next_idx]:
             t = k * cfg.dt
             state = ManyBodyState(basis, amps)
-            phi_t = traj.orbitals[k]
+            phi_t = orbitals[k]
             g1 = gamma1(state)
             e1 = E_k(g1, phi_t)
             r1 = R_k(g1, phi_t)
@@ -277,9 +279,11 @@ def run_simulation(cfg: RunConfig) -> RunResult:
             e_psi, e_phi = energies(state, H, phi_t, h, w)
             if k == 0:
                 alpha0, beta0, gap = alpha, beta, e_psi - e_phi
-            phi_env = phi_envelope_integral(traj, w_bound, q1, q2, t)
+                env_integrand = envelope_integrand(orbitals, q1, q2)
+                ptil_integrand = phi_tilde_integrand(orbitals, h)
+            phi_env = phi_envelope_integral(env_integrand[: k + 1], times[: k + 1], w_bound)
             a_bound = gronwall_alpha_bound(alpha0, N, phi_env)
-            ptil = phi_tilde_integral(traj, h, t)
+            ptil = phi_tilde_integral(ptil_integrand[: k + 1], times[: k + 1])
             b_bound = beta_bound_envelope(beta0, gap, N, eta, cfg.K, ptil)
             records.append(
                 TimeRecord(
@@ -312,15 +316,12 @@ class SweepResult:
 
 
 def sweep_N(cfg: RunConfig) -> SweepResult:
-    """Run each N concurrently, merge records by (N, t), fit log-log slopes
-    of the final-time indicators against N."""
+    """Run each N in turn, merge records by (N, t), fit log-log slopes of
+    the final-time indicators against N."""
     Ns = list(cfg.particles_list)
     if len(Ns) < 3:
         raise ConfigError("a sweep needs at least 3 values of N")
-    jobs = {N: replace(cfg, particles=N, particles_list=()) for N in Ns}
-    with concurrent.futures.ThreadPoolExecutor(max_workers=min(4, len(Ns))) as pool:
-        futures = {N: pool.submit(run_simulation, job) for N, job in jobs.items()}
-        runs = {N: futures[N].result() for N in Ns}
+    runs = {N: run_simulation(replace(cfg, particles=N, particles_list=())) for N in Ns}
 
     records = [r for N in Ns for r in runs[N].records]
     records.sort(key=lambda r: (r.N, r.t))
@@ -350,9 +351,7 @@ def eta_curve(d: int, p_values: list[Fraction]):
 
 def write_csv(records: list, path: str) -> None:
     with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for r in records:
-            fh.write(r.csv_row() + "\n")
+        fh.write(records_csv(records))
 
 
 def records_csv(records: list) -> str:

@@ -100,22 +100,14 @@ def lp_norm(f: LatticeField, p: float) -> float:
     return float(m * (dx * np.sum((np.abs(f.values) / m) ** p)) ** (1.0 / p))
 
 
-def periodic_convolution(w: LatticeField, rho: LatticeField, fast: bool = False) -> LatticeField:
-    """(w * rho)(x) = dx * sum_y w(x - y) rho(y) with periodic wrap.
-
-    Direct O(M^2) sum by default; `fast=True` switches to the FFT path
-    (identical result to ~1e-14 at desk scale).
-    """
+def periodic_convolution(w: LatticeField, rho: LatticeField) -> LatticeField:
+    """(w * rho)(x) = dx * sum_y w(x - y) rho(y) with periodic wrap, as a
+    direct O(M^2) sum."""
     if w.grid != rho.grid:
         raise ConfigError("convolution operands live on different grids")
-    dx = w.grid.spacing
-    if fast:
-        out = dx * np.fft.ifft(np.fft.fft(w.values) * np.fft.fft(rho.values))
-    else:
-        M = w.grid.sites
-        idx = (np.arange(M)[:, None] - np.arange(M)[None, :]) % M
-        out = dx * (w.values[idx] @ rho.values)
-    return LatticeField(w.grid, out)
+    M = w.grid.sites
+    idx = (np.arange(M)[:, None] - np.arange(M)[None, :]) % M
+    return LatticeField(w.grid, w.grid.spacing * (w.values[idx] @ rho.values))
 
 
 def convolution_kernel_matrix(w: LatticeField) -> np.ndarray:

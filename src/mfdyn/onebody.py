@@ -6,7 +6,7 @@ product <f, g> = dx * sum conj(f) g.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .lattice import (
     LatticeField,
     laplacian_eigenvalues,
     laplacian_matrix,
-    lp_norm,
     periodic_convolution,
 )
 
@@ -111,40 +110,6 @@ def hartree_energy(phi: Orbital, h: np.ndarray, w: LatticeField) -> float:
     return float(kin + pot)
 
 
-@dataclass
-class HartreeTrajectory:
-    """Hartree solution stored at every time step."""
-
-    grid: Grid
-    times: np.ndarray
-    orbitals: list
-    _norm_cache: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0):
-            raise ConfigError("trajectory times must be strictly increasing")
-
-    def orbital_at(self, t: float) -> Orbital:
-        return self.orbitals[self.index_of(t)]
-
-    def index_of(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ConfigError(f"time {t} is not on the stored trajectory")
-        return i
-
-    def lp_norms(self, q: float) -> np.ndarray:
-        """||phi(t)||_q at every stored time (cached)."""
-        if q not in self._norm_cache:
-            self._norm_cache[q] = np.array(
-                [lp_norm(o.field(), q) for o in self.orbitals]
-            )
-        return self._norm_cache[q]
-
-    def energies(self, h: np.ndarray, w: LatticeField) -> np.ndarray:
-        return np.array([hartree_energy(o, h, w) for o in self.orbitals])
-
-
 class HartreeStepper:
     """Strang splitting for i d/dt phi = (-Lap + v) phi + (w * |phi|^2) phi.
 
@@ -186,13 +151,12 @@ def evolve_hartree(
     phi0: Orbital,
     dt: float,
     steps: int,
-) -> HartreeTrajectory:
-    """Integrate the Hartree equation, storing the orbital at every step."""
+) -> list[Orbital]:
+    """Integrate the Hartree equation; entry k is the orbital at t = k * dt."""
     stepper = HartreeStepper(grid, v, w, dt)
     orbitals = [phi0]
     vals = phi0.values
     for k in range(steps):
         vals = stepper.step(vals, k * dt)
         orbitals.append(Orbital(grid, vals))
-    times = dt * np.arange(steps + 1)
-    return HartreeTrajectory(grid, times, orbitals)
+    return orbitals

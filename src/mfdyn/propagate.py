@@ -17,7 +17,7 @@ DENSE_EIG_CAP = 3000
 class PropagatorConfig:
     dt: float
     steps: int
-    method: str = "krylov"  # "krylov" | "dense-eig"
+    method: str = "krylov"  # "krylov" | "dense"
     krylov_maxdim: int = 40
     krylov_tol: float = 1e-10
     unitarity_tol: float = 1e-8
@@ -27,7 +27,7 @@ class PropagatorConfig:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.steps < 0:
             raise ConfigError(f"steps must be nonnegative, got {self.steps}")
-        if self.method not in ("krylov", "dense-eig"):
+        if self.method not in ("krylov", "dense"):
             raise ConfigError(f"unknown propagator method {self.method!r}")
 
 
@@ -81,7 +81,7 @@ class DenseEigPropagator:
         dim = H.shape[0]
         if dim > DENSE_EIG_CAP:
             raise ConfigError(
-                f"dense-eig method allowed only for dim <= {DENSE_EIG_CAP}, got {dim}"
+                f"dense method allowed only for dim <= {DENSE_EIG_CAP}, got {dim}"
             )
         Hd = H.toarray() if sp.issparse(H) else np.asarray(H)
         self.evals, self.evecs = np.linalg.eigh(Hd)
@@ -97,7 +97,7 @@ class NBodyStepper:
     def __init__(self, H, cfg: PropagatorConfig):
         self.H = H
         self.cfg = cfg
-        self._dense = DenseEigPropagator(H) if cfg.method == "dense-eig" else None
+        self._dense = DenseEigPropagator(H) if cfg.method == "dense" else None
 
     def step(self, amps: np.ndarray) -> np.ndarray:
         if self._dense is not None:

@@ -10,6 +10,7 @@ from mfdyn.bounds import (
     beta_bound_envelope,
     conjugate_q,
     energies,
+    envelope_integrand,
     eta_of,
     fitted_K,
     gronwall_alpha_bound,
@@ -17,6 +18,7 @@ from mfdyn.bounds import (
     pair_interaction_expectation,
     phi_envelope_integral,
     phi_tilde_integral,
+    phi_tilde_integrand,
     sobolev_sup_norm,
     wnorm_upper_bound,
 )
@@ -111,11 +113,15 @@ def test_phi_integral_sup_norm_case(grid6, gaussian_w):
     # p1 = p2 = inf gives q1 = q2 = 2 and ||phi||_2 = 1, so the integrand is
     # the constant 64 ||w||_inf
     phi0 = gaussian_orbital(grid6, x0=3.0, sigma=1.0)
-    traj = evolve_hartree(grid6, None, gaussian_w, phi0, dt=1e-2, steps=100)
+    orbitals = evolve_hartree(grid6, None, gaussian_w, phi0, dt=1e-2, steps=100)
+    times = 1e-2 * np.arange(101)
+    integrand = envelope_integrand(orbitals, 2.0, 2.0)
     winf = lp_norm(gaussian_w, np.inf)
-    for t in (0.0, 0.5, 1.0):
-        got = phi_envelope_integral(traj, winf, 2.0, 2.0, t)
+    for k, t in ((0, 0.0), (50, 0.5), (100, 1.0)):
+        got = phi_envelope_integral(integrand[: k + 1], times[: k + 1], winf)
         assert got == pytest.approx(64.0 * winf * t, abs=1e-9)
+    with pytest.raises(ConfigError):
+        envelope_integrand(orbitals, 2.0, 4.0)  # needs q2 <= q1
 
 
 def test_gronwall_alpha_bound_values():
@@ -159,8 +165,10 @@ def test_sobolev_sup_norm_plane_wave(grid6, h6):
 
 def test_phi_tilde_integral_monotone(grid6, gaussian_w, h6):
     phi0 = gaussian_orbital(grid6, x0=3.0, sigma=1.0)
-    traj = evolve_hartree(grid6, None, gaussian_w, phi0, dt=1e-2, steps=100)
-    vals = [phi_tilde_integral(traj, h6, t) for t in (0.0, 0.25, 0.5, 1.0)]
+    orbitals = evolve_hartree(grid6, None, gaussian_w, phi0, dt=1e-2, steps=100)
+    times = 1e-2 * np.arange(101)
+    integrand = phi_tilde_integrand(orbitals, h6)
+    vals = [phi_tilde_integral(integrand[: k + 1], times[: k + 1]) for k in (0, 25, 50, 100)]
     assert vals[0] == 0.0
     assert all(a < b for a, b in zip(vals, vals[1:]))
     # integrand >= 1, so the integral is at least t

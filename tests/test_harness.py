@@ -6,11 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mfdyn.bounds import conjugate_q, wnorm_upper_bound
 from mfdyn.cli import main
 from mfdyn.errors import ConfigError
 from mfdyn.harness import (
     CSV_HEADER,
+    default_cutoffs,
     eta_curve,
+    initial_orbital,
     interaction_field,
     make_config,
     parse_config_file,
@@ -20,7 +23,8 @@ from mfdyn.harness import (
     sweep_N,
     write_csv,
 )
-from mfdyn.lattice import Grid
+from mfdyn.lattice import Grid, lp_norm
+from mfdyn.onebody import build_h, evolve_hartree, hartree_energy
 
 
 FAST = dict(sites=6, particles=3, tfinal=0.05, dt=5e-3, stride=5)
@@ -89,6 +93,28 @@ def test_run_simulation_record_grid():
     for r in res.records:
         assert r.N == cfg.particles and r.M == cfg.sites
         assert math.isfinite(r.alpha) and math.isfinite(r.beta_bound)
+
+
+def test_records_use_hartree_orbital_of_their_step():
+    cfg = make_config(**FAST, p1=4.0)  # q1 = 4, q2 = 2
+    grid = Grid(cfg.sites, cfg.dx)
+    v = potential_field(cfg, grid)
+    w = interaction_field(cfg, grid)
+    h = build_h(grid, v)
+    orbitals = evolve_hartree(grid, v, w, initial_orbital(cfg, grid, h), cfg.dt, cfg.steps)
+    times = cfg.dt * np.arange(cfg.steps + 1)
+    w_bound = wnorm_upper_bound(w, cfg.p1, cfg.p2, default_cutoffs(w))
+    integrand = np.array(
+        [lp_norm(o.field(), conjugate_q(cfg.p1)) + lp_norm(o.field(), conjugate_q(cfg.p2))
+         for o in orbitals]
+    )
+    res = run_simulation(cfg)
+    assert len(res.records) == cfg.steps // cfg.stride + 1
+    for r in res.records:
+        k = round(r.t / cfg.dt)
+        assert r.Ephi == hartree_energy(orbitals[k], h, w)
+        want = 32.0 * w_bound * np.trapezoid(integrand[: k + 1], times[: k + 1])
+        assert r.phi_t == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def test_csv_roundtrip_and_determinism(tmp_path):

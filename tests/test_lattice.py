@@ -104,14 +104,6 @@ def test_lp_norm_monotone_scaling(seed, p):
     assert lp_norm(f, p) == pytest.approx(float(direct), rel=1e-12)
 
 
-def test_convolution_direct_vs_fft(rng, grid6):
-    w = random_field(rng, grid6)
-    rho = random_field(rng, grid6)
-    slow = periodic_convolution(w, rho).values
-    fast = periodic_convolution(w, rho, fast=True).values
-    assert np.allclose(slow, fast, atol=1e-12)
-
-
 def test_convolution_identity_kernel():
     g = Grid(5, 0.2)
     # delta kernel (1/dx at the origin) acts as the identity

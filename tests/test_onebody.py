@@ -102,15 +102,15 @@ def test_hartree_plane_wave_exact(grid6):
     # stationary for the zero-momentum plane wave
     phi0 = Orbital.normalized(grid6, np.ones(6))
     w = sample_interaction(grid6, "gaussian", lam=1.0, sigma=1.0)
-    traj = evolve_hartree(grid6, None, w, phi0, dt=1e-2, steps=200)
-    rho_t = np.abs(traj.orbitals[-1].values) ** 2
+    orbitals = evolve_hartree(grid6, None, w, phi0, dt=1e-2, steps=200)
+    rho_t = np.abs(orbitals[-1].values) ** 2
     assert np.allclose(rho_t, np.abs(phi0.values) ** 2, atol=1e-12)
 
 
 def test_hartree_mass_conservation(grid6, gaussian_w):
     phi0 = gaussian_orbital(grid6, x0=3.0, sigma=0.7)
-    traj = evolve_hartree(grid6, None, gaussian_w, phi0, dt=1e-3, steps=500)
-    for orb in traj.orbitals[::50]:
+    orbitals = evolve_hartree(grid6, None, gaussian_w, phi0, dt=1e-3, steps=500)
+    for orb in orbitals[::50]:
         assert orb.field().is_normalized or abs(
             grid6.spacing * np.sum(np.abs(orb.values) ** 2) - 1
         ) < 1e-10
@@ -121,8 +121,8 @@ def test_hartree_energy_drift_second_order(grid6, gaussian_w):
     phi0 = gaussian_orbital(grid6, x0=3.0, sigma=0.7)
 
     def drift(dt, steps):
-        traj = evolve_hartree(grid6, None, gaussian_w, phi0, dt, steps)
-        e = traj.energies(h, gaussian_w)
+        orbitals = evolve_hartree(grid6, None, gaussian_w, phi0, dt, steps)
+        e = np.array([hartree_energy(o, h, gaussian_w) for o in orbitals])
         return float(np.max(np.abs(e - e[0])))
 
     d1 = drift(4e-3, 250)
@@ -137,24 +137,13 @@ def test_strang_splitting_second_order_in_state(grid6, gaussian_w):
 
     def solve(dt):
         steps = int(round(T / dt))
-        return evolve_hartree(grid6, None, gaussian_w, phi0, dt, steps).orbitals[-1].values
+        return evolve_hartree(grid6, None, gaussian_w, phi0, dt, steps)[-1].values
 
     ref = solve(T / 3200)
     e1 = np.linalg.norm(solve(T / 100) - ref)
     e2 = np.linalg.norm(solve(T / 200) - ref)
     ratio = e1 / e2
     assert 3.0 < ratio < 5.0  # second-order convergence gives ~4
-
-
-def test_trajectory_lookup_and_cache(grid6, gaussian_w):
-    phi0 = gaussian_orbital(grid6, x0=3.0, sigma=1.0)
-    traj = evolve_hartree(grid6, None, gaussian_w, phi0, dt=1e-2, steps=10)
-    assert traj.index_of(0.05) == 5
-    with pytest.raises(ConfigError):
-        traj.index_of(0.123)
-    n1 = traj.lp_norms(4.0)
-    n2 = traj.lp_norms(4.0)
-    assert n1 is n2  # cached
 
 
 def test_stepper_rejects_bad_dt(grid6, gaussian_w):

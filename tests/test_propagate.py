@@ -84,7 +84,7 @@ def test_dense_eig_cap():
 def test_krylov_and_dense_paths_agree(small_system):
     H, psi0 = small_system
     out_k = evolve_nbody(H, psi0, PropagatorConfig(dt=1e-2, steps=50, krylov_tol=1e-13))
-    out_d = evolve_nbody(H, psi0, PropagatorConfig(dt=1e-2, steps=50, method="dense-eig"))
+    out_d = evolve_nbody(H, psi0, PropagatorConfig(dt=1e-2, steps=50, method="dense"))
     assert np.allclose(out_k[-1].amps, out_d[-1].amps, atol=1e-10)
 
 

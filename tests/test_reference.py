@@ -1,0 +1,66 @@
+"""Frozen-reference trajectories for run paths the benchmark never takes:
+a harmonic trap with a ground-state orbital under an inverse-square kernel
+with q1 != q2, and a soft-Coulomb kernel propagated by the dense method.
+
+The envelope columns grow like e^{phi(t)}, so they are compared relative to
+their size; every other column is compared in absolute terms. Re-freeze the
+data with `PYTHONPATH=src python tests/test_reference.py`.
+"""
+import math
+import os
+
+import pytest
+
+from mfdyn.harness import make_config, records_csv, run_simulation
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+CASES = {
+    "harmonic_invsquare": dict(
+        sites=6, particles=3, tfinal=0.2, dt=1e-3, stride=20,
+        potential="harmonic:1", initial="groundstate", interaction="invsquare:1",
+        p1=4, p2=math.inf,
+    ),
+    "softcoulomb_dense": dict(
+        sites=6, particles=4, tfinal=0.2, dt=2e-3, stride=10,
+        interaction="softcoulomb:1,0.5", p1=2, p2=6, method="dense",
+    ),
+}
+
+ENVELOPE_COLUMNS = ("phi_t", "alpha_bound", "beta_bound", "slack_alpha")
+ENVELOPE_RTOL = 1e-12
+ABS_TOL = 1e-10
+
+
+def _path(name: str) -> str:
+    return os.path.join(DATA, f"{name}.csv")
+
+
+def _rows(text: str) -> tuple[list[str], list[list[str]]]:
+    lines = text.strip("\n").split("\n")
+    return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_run_matches_frozen_reference(name):
+    header, rows = _rows(records_csv(run_simulation(make_config(**CASES[name])).records))
+    with open(_path(name)) as fh:
+        ref_header, ref_rows = _rows(fh.read())
+    assert header == ref_header
+    assert len(rows) == len(ref_rows)
+    for row, ref in zip(rows, ref_rows):
+        for col, got, want in zip(header, row, ref):
+            if col in ("N", "M"):
+                assert got == want, col
+            elif col in ENVELOPE_COLUMNS:
+                assert float(got) == pytest.approx(float(want), rel=ENVELOPE_RTOL, abs=0), col
+            else:
+                assert abs(float(got) - float(want)) <= ABS_TOL, (col, got, want)
+
+
+if __name__ == "__main__":
+    os.makedirs(DATA, exist_ok=True)
+    for name, kwargs in CASES.items():
+        with open(_path(name), "w") as fh:
+            fh.write(records_csv(run_simulation(make_config(**kwargs)).records))
+        print(f"froze {_path(name)}")
