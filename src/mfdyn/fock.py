@@ -7,9 +7,9 @@ normalized Fock vector are consistent.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,35 +22,40 @@ BASIS_CAP = 200_000
 DENSE_ORACLE_CAP = 4096
 
 
-def _compositions(sites: int, total: int):
-    """Occupation vectors summing to `total`, first site descending."""
-    if sites == 1:
-        yield (total,)
-        return
-    for k in range(total, -1, -1):
-        for rest in _compositions(sites - 1, total - k):
-            yield (k,) + rest
-
-
 @dataclass(frozen=True, eq=False)
 class OccupationBasis:
-    """All occupation vectors of N bosons on M sites, with an index map."""
+    """All occupation vectors of N bosons on M sites, first site descending.
+
+    Data derived from the basis (rank table, hop and annihilation maps) is
+    kept in `_cache`, so it lives exactly as long as the basis.
+    """
 
     sites: int
     particles: int
     states: np.ndarray  # (dim, M) int array
-    index: dict = field(repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
         return self.states.shape[0]
 
-    def index_of(self, occupation) -> int:
-        return self.index[tuple(int(n) for n in occupation)]
+    def rank(self, occ) -> np.ndarray:
+        """Row in `states` of each occupation vector (last axis = sites).
+
+        A vector with S particles right of site p is preceded by
+        C(S + M-p-2, M-p-1) vectors that agree with it up to site p-1 and
+        hold more at site p; the rank is the sum of these counts.
+        """
+        M, N = self.sites, self.particles
+        if "rank" not in self._cache:
+            table = [
+                math.comb(S + M - p - 2, M - p - 1) for p in range(M - 1) for S in range(N + 1)
+            ]
+            self._cache["rank"] = np.array(table, dtype=np.int64).reshape(M - 1, N + 1)
+        right = np.cumsum(np.asarray(occ)[..., :0:-1], axis=-1)[..., ::-1]
+        return self._cache["rank"][np.arange(M - 1), right].sum(axis=-1)
 
 
-@lru_cache(maxsize=None)
 def enumerate_basis(M: int, N: int) -> OccupationBasis:
     if M < 1 or N < 0:
         raise ConfigError(f"need M >= 1 sites and N >= 0 particles, got M={M}, N={N}")
@@ -59,40 +64,60 @@ def enumerate_basis(M: int, N: int) -> OccupationBasis:
         raise ConfigError(
             f"occupation basis for M={M}, N={N} has {dim} states, above the cap {BASIS_CAP}"
         )
-    states = np.array(list(_compositions(M, N)), dtype=np.int64)
-    index = {tuple(int(n) for n in row): i for i, row in enumerate(states)}
-    return OccupationBasis(M, N, states, index)
+    # Stars and bars: n_x is the gap between bars x-1 and x among N+M-1
+    # slots. Combinations of bar positions come first-site ascending.
+    edges = np.empty((dim, M + 1), dtype=np.int64)
+    edges[:, 0], edges[:, -1] = -1, N + M - 1
+    edges[:, 1:-1] = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(N + M - 1), M - 1)),
+        dtype=np.int64,
+        count=dim * (M - 1),
+    ).reshape(dim, M - 1)[::-1]
+    return OccupationBasis(M, N, np.diff(edges, axis=1) - 1)
+
+
+def _annihilation_map(basis: OccupationBasis):
+    """The N-1 basis, and for every site x and state t of it the row of
+    t + e_x in `basis` with the amplitude sqrt(t_x + 1) of a_x."""
+    if "ann" not in basis._cache:
+        if basis.particles < 1:
+            raise ConfigError("cannot annihilate from the vacuum sector")
+        sub = enumerate_basis(basis.sites, basis.particles - 1)
+        rows = np.stack(
+            [basis.rank(sub.states + e) for e in np.eye(basis.sites, dtype=np.int64)]
+        )
+        basis._cache["ann"] = (sub, rows, np.sqrt(sub.states.T + 1))
+    return basis._cache["ann"]
+
+
+def annihilate_all(
+    amps: np.ndarray, basis: OccupationBasis
+) -> tuple[np.ndarray, OccupationBasis]:
+    """a_x v for every site x and every vector v on the last axis of `amps`,
+    shape (..., dim) -> (..., M, dim of the N-1 sector), with the N-1 basis.
+
+    a_x is injective, so every entry is a single gathered product."""
+    amps = np.asarray(amps)
+    if amps.shape[-1] != basis.dim:
+        raise ConfigError("amplitude vectors do not match basis dimension")
+    sub, rows, coef = _annihilation_map(basis)
+    return coef * amps[..., rows], sub
 
 
 def _hop_structure(basis: OccupationBasis):
-    """Static data for dGamma(A): for every state and ordered pair i != j
-    with n_j > 0, the target index and the amplitude sqrt((n_i + 1) n_j)."""
+    """Static data for dGamma(A) = sum_ij A_ij a_i^dag a_j: for every state t
+    of the N-1 sector and ordered pair i != j, the hop from t + e_j to t + e_i
+    with amplitude sqrt((t_i + 1)(t_j + 1))."""
     if "hops" not in basis._cache:
-        rows, cols, iidx, jidx, amps = [], [], [], [], []
-        M = basis.sites
-        for s, n in enumerate(basis.states):
-            occ = tuple(int(x) for x in n)
-            for j in range(M):
-                nj = occ[j]
-                if nj == 0:
-                    continue
-                for i in range(M):
-                    if i == j:
-                        continue
-                    tgt = list(occ)
-                    tgt[j] -= 1
-                    tgt[i] += 1
-                    rows.append(basis.index[tuple(tgt)])
-                    cols.append(s)
-                    iidx.append(i)
-                    jidx.append(j)
-                    amps.append(math.sqrt((occ[i] + 1) * nj))
+        sub, rows, _ = _annihilation_map(basis)
+        i, j = np.nonzero(~np.eye(basis.sites, dtype=bool))
+        up = sub.states.T + 1
         basis._cache["hops"] = (
-            np.array(rows),
-            np.array(cols),
-            np.array(iidx),
-            np.array(jidx),
-            np.array(amps),
+            rows[i].ravel(),
+            rows[j].ravel(),
+            np.repeat(i, sub.dim),
+            np.repeat(j, sub.dim),
+            np.sqrt(up[i] * up[j]).ravel(),
         )
     return basis._cache["hops"]
 
@@ -150,37 +175,14 @@ def product_state(phi: Orbital, basis: OccupationBasis) -> ManyBodyState:
     """phi^(x) N: amplitude sqrt(N!/prod n!) * prod (sqrt(dx) phi(x))^n_x."""
     if basis.sites != phi.grid.sites:
         raise ConfigError("orbital and basis have different site counts")
-    u = phi.mode
-    N = basis.particles
-    amps = np.empty(basis.dim, dtype=complex)
-    for s, n in enumerate(basis.states):
-        coef = math.sqrt(math.factorial(N) / math.prod(math.factorial(int(k)) for k in n))
-        amps[s] = coef * np.prod(u**n)
-    return ManyBodyState(basis, amps)
+    coef = np.sqrt(_multinomial(basis.states, basis.particles).astype(float))
+    return ManyBodyState(basis, coef * np.prod(phi.mode**basis.states, axis=1))
 
 
-def annihilate(state: ManyBodyState, x: int) -> ManyBodyState:
-    """a_x, mapping the N sector to the N-1 sector."""
-    basis = state.basis
-    if basis.particles < 1:
-        raise ConfigError("cannot annihilate from the vacuum sector")
-    key = ("ann", x)
-    if key not in basis._cache:
-        sub = enumerate_basis(basis.sites, basis.particles - 1)
-        src, dst, coef = [], [], []
-        for s, n in enumerate(basis.states):
-            if n[x] == 0:
-                continue
-            tgt = list(int(k) for k in n)
-            tgt[x] -= 1
-            src.append(s)
-            dst.append(sub.index[tuple(tgt)])
-            coef.append(math.sqrt(int(n[x])))
-        basis._cache[key] = (sub, np.array(src), np.array(dst), np.array(coef))
-    sub, src, dst, coef = basis._cache[key]
-    out = np.zeros(sub.dim, dtype=complex)
-    np.add.at(out, dst, coef * state.amps[src])
-    return ManyBodyState(sub, out)
+def _multinomial(states: np.ndarray, N: int) -> np.ndarray:
+    """Exact N!/prod(n!) for each occupation row, as Python ints."""
+    fact = np.array([math.factorial(k) for k in range(N + 1)], dtype=object)
+    return math.factorial(N) // fact[states].prod(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +242,7 @@ def occupation_to_tensor_isometry(basis: OccupationBasis) -> np.ndarray:
     dim = M**N
     if dim > DENSE_ORACLE_CAP:
         raise ConfigError(f"dense oracle size {dim} exceeds cap {DENSE_ORACLE_CAP}")
-    flat = _site_indices(M, N)
+    occ = (_site_indices(M, N)[:, :, None] == np.arange(M)).sum(axis=1)
     U = np.zeros((dim, basis.dim))
-    for t in range(dim):
-        occ = np.bincount(flat[t], minlength=M)
-        s = basis.index_of(occ)
-        U[t, s] = math.sqrt(
-            math.prod(math.factorial(int(k)) for k in occ) / math.factorial(N)
-        )
+    U[np.arange(dim), basis.rank(occ)] = np.sqrt((1 / _multinomial(occ, N)).astype(float))
     return U

@@ -11,6 +11,8 @@ from .errors import ConfigError, NumericalFailure
 from .fock import ManyBodyState
 
 DENSE_EIG_CAP = 3000
+KRYLOV_MAXDIM = 40
+UNITARITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -18,9 +20,7 @@ class PropagatorConfig:
     dt: float
     steps: int
     method: str = "krylov"  # "krylov" | "dense"
-    krylov_maxdim: int = 40
     krylov_tol: float = 1e-10
-    unitarity_tol: float = 1e-8
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -104,11 +104,11 @@ class NBodyStepper:
             out = self._dense.apply(amps, self.cfg.dt)
         else:
             out = lanczos_expm_apply(
-                self.H, amps, self.cfg.dt, self.cfg.krylov_maxdim, self.cfg.krylov_tol
+                self.H, amps, self.cfg.dt, KRYLOV_MAXDIM, self.cfg.krylov_tol
             )
         if not np.all(np.isfinite(out)):
             raise NumericalFailure("propagation produced nonfinite amplitudes")
-        if abs(np.linalg.norm(out) - 1.0) > self.cfg.unitarity_tol:
+        if abs(np.linalg.norm(out) - 1.0) > UNITARITY_TOL:
             raise NumericalFailure(
                 f"norm drifted to {np.linalg.norm(out)} beyond the unitarity tolerance"
             )

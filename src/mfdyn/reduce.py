@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure
-from .fock import ManyBodyState, annihilate
+from .fock import ManyBodyState, annihilate_all
 from .lattice import LatticeField, convolution_kernel_matrix
 from .onebody import Orbital, mean_field_potential
 
@@ -52,7 +52,7 @@ def gamma1(psi: ManyBodyState) -> DensityMatrix:
     N = psi.basis.particles
     if N < 1:
         raise ConfigError("gamma1 needs at least one particle")
-    A = np.stack([annihilate(psi, x).amps for x in range(psi.basis.sites)])
+    A, _ = annihilate_all(psi.amps, psi.basis)
     return DensityMatrix(1, (A @ A.conj().T) / N)
 
 
@@ -62,10 +62,9 @@ def gamma2(psi: ManyBodyState) -> DensityMatrix:
     if N < 2:
         raise ConfigError("gamma2 needs at least two particles")
     M = psi.basis.sites
-    singles = [annihilate(psi, x) for x in range(M)]
-    B = np.stack(
-        [annihilate(singles[x2], x1).amps for x1 in range(M) for x2 in range(M)]
-    )
+    A, sub = annihilate_all(psi.amps, psi.basis)
+    B, _ = annihilate_all(A, sub)  # B[x2, x1] = a_x1 a_x2 psi
+    B = B.transpose(1, 0, 2).reshape(M * M, -1)
     return DensityMatrix(2, (B @ B.conj().T) / (N * (N - 1)))
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mfdyn.errors import ConfigError
 from mfdyn.fock import (
     ManyBodyState,
-    annihilate,
+    annihilate_all,
     build_HN,
     dense_oracle,
     enumerate_basis,
@@ -30,9 +30,16 @@ def test_basis_enumeration_order_and_size():
     assert b.dim == 3
     b2 = enumerate_basis(4, 3)
     assert b2.dim == math.comb(3 + 4 - 1, 3)
-    assert b2.index_of((0, 1, 2, 0)) == b2.index[(0, 1, 2, 0)]
     for row in b2.states:
         assert int(row.sum()) == 3
+    for M, N in ((1, 3), (5, 0), (2, 30), (4, 3), (8, 6)):
+        b = enumerate_basis(M, N)
+        assert b.dim == math.comb(N + M - 1, N)
+        assert np.array_equal(b.rank(b.states), np.arange(b.dim))
+        # consecutive rows strictly descending in lexicographic order
+        d = b.states[:-1] - b.states[1:]
+        first = (d != 0).argmax(axis=1)
+        assert np.all(d[np.arange(len(d)), first] > 0)
 
 
 def test_basis_cap_and_validation():
@@ -101,15 +108,14 @@ def test_annihilate_lowers_sector_and_counts(rng, grid6):
     phi = random_orbital(rng, grid6)
     basis = enumerate_basis(6, 3)
     psi = product_state(phi, basis)
-    a0 = annihilate(psi, 0)
-    assert a0.basis.particles == 2
+    A, sub = annihilate_all(psi.amps, basis)
+    assert sub.particles == 2
+    assert A.shape == (6, sub.dim)
     # sum_x ||a_x psi||^2 = <psi, N psi> = N
-    total = sum(
-        np.vdot(annihilate(psi, x).amps, annihilate(psi, x).amps).real for x in range(6)
-    )
+    total = sum(np.vdot(A[x], A[x]).real for x in range(6))
     assert total == pytest.approx(3.0, abs=1e-10)
     with pytest.raises(ConfigError):
-        annihilate(ManyBodyState(enumerate_basis(6, 0), np.ones(1)), 0)
+        annihilate_all(np.ones(1), enumerate_basis(6, 0))
 
 
 def test_annihilate_product_state_factorizes(rng, grid6):
@@ -120,9 +126,22 @@ def test_annihilate_product_state_factorizes(rng, grid6):
     psi = product_state(phi, basis)
     psi2 = product_state(phi, sub)
     u = phi.mode
+    A, _ = annihilate_all(psi.amps, basis)
     for x in range(6):
-        got = annihilate(psi, x).amps
-        assert np.allclose(got, math.sqrt(3) * u[x] * psi2.amps, atol=1e-12)
+        assert np.allclose(A[x], math.sqrt(3) * u[x] * psi2.amps, atol=1e-12)
+
+
+def test_annihilate_all_stacks_and_commutes(rng):
+    basis = enumerate_basis(4, 3)
+    v = rng.normal(size=(2, basis.dim)) + 1j * rng.normal(size=(2, basis.dim))
+    A, sub = annihilate_all(v, basis)
+    assert A.shape == (2, 4, sub.dim)
+    for k in range(2):
+        assert np.array_equal(A[k], annihilate_all(v[k], basis)[0])
+    # B[k, y, x] = a_x a_y v_k; annihilators commute
+    B, sub2 = annihilate_all(A, sub)
+    assert B.shape == (2, 4, 4, sub2.dim)
+    assert np.allclose(B, B.transpose(0, 2, 1, 3), atol=1e-12)
 
 
 def test_symmetrizer_is_projector():

@@ -75,7 +75,7 @@ def test_gamma1_hand_value():
     # N=2 on M=2 sites, state (1,1): each site holds exactly one particle
     basis = enumerate_basis(2, 2)
     amps = np.zeros(3)
-    amps[basis.index_of((1, 1))] = 1.0
+    amps[basis.rank((1, 1))] = 1.0
     g1 = gamma1(ManyBodyState(basis, amps))
     assert np.allclose(g1.mat, np.diag([0.5, 0.5]), atol=1e-14)
 

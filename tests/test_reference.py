@@ -5,6 +5,10 @@ with q1 != q2, and a soft-Coulomb kernel propagated by the dense method.
 The envelope columns grow like e^{phi(t)}, so they are compared relative to
 their size; every other column is compared in absolute terms. Re-freeze the
 data with `PYTHONPATH=src python tests/test_reference.py`.
+
+One more case mirrors the benchmark's bitwise gate: the first records of
+its `sim-M8N4` workload must equal the benchmark's own reference byte for
+byte, so that a last-bit change in alpha(0) or phi(t) fails here first.
 """
 import math
 import os
@@ -14,6 +18,9 @@ import pytest
 from mfdyn.harness import make_config, records_csv, run_simulation
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+BENCH_REF = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "ref"
+)
 
 CASES = {
     "harmonic_invsquare": dict(
@@ -56,6 +63,16 @@ def test_run_matches_frozen_reference(name):
                 assert float(got) == pytest.approx(float(want), rel=ENVELOPE_RTOL, abs=0), col
             else:
                 assert abs(float(got) - float(want)) <= ABS_TOL, (col, got, want)
+
+
+def test_run_matches_benchmark_reference_bitwise():
+    cfg = make_config(
+        sites=8, particles=4, tfinal=0.1, stride=10, dt=1e-3, interaction="gaussian:1,1"
+    )
+    lines = records_csv(run_simulation(cfg).records).splitlines()
+    with open(os.path.join(BENCH_REF, "sim-M8N4.csv")) as fh:
+        ref = fh.read().splitlines()[:12]
+    assert lines == ref
 
 
 if __name__ == "__main__":
