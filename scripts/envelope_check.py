@@ -3,33 +3,28 @@
 Hartree orbital, then print how much room the closed-form alpha envelope
 (alpha(0) + 1/N) e^{phi(t)} leaves above the measured alpha(t).
 
+Takes the run flags of `mfdyn simulate` (with `--stride` defaulting to 100).
+
 Usage:
     python scripts/envelope_check.py [--particles 4] [--interaction gaussian:1,1]
 """
 import argparse
 import sys
 
-from mfdyn.harness import make_config, run_simulation
+from mfdyn.cli import add_run_flags, config_from_args
+from mfdyn.errors import ConfigError
+from mfdyn.harness import run_simulation
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--sites", type=int, default=8)
-    ap.add_argument("--particles", type=int, default=4)
-    ap.add_argument("--interaction", default="gaussian:1,1")
-    ap.add_argument("--tfinal", type=float, default=1.0)
-    ap.add_argument("--dt", type=float, default=1e-3)
-    ap.add_argument("--stride", type=int, default=100)
+    add_run_flags(ap)
+    ap.set_defaults(stride="100")
     args = ap.parse_args()
-
-    cfg = make_config(
-        sites=args.sites,
-        particles=args.particles,
-        interaction=args.interaction,
-        tfinal=args.tfinal,
-        dt=args.dt,
-        stride=args.stride,
-    )
+    try:
+        cfg = config_from_args(args)
+    except ConfigError as exc:
+        ap.error(str(exc))
     result = run_simulation(cfg)
     print(f"{'t':>6} {'alpha':>12} {'envelope':>12} {'slack':>12} {'beta':>12}")
     for r in result.records:

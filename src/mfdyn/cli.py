@@ -7,85 +7,60 @@ Exit codes: 0 success, 1 invalid configuration, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from .checks import SUITES, run_suite
 from .errors import ConfigError, NumericalFailure
 from .harness import (
+    INITIALS,
+    INTERACTIONS,
+    POTENTIALS,
+    RunConfig,
     eta_curve,
     make_config,
     parse_config_file,
+    parse_setting,
     records_csv,
     run_simulation,
     sweep_N,
 )
 
-_FLOAT_KEYS = {"dx", "tfinal", "dt", "K"}
-_INT_KEYS = {"sites", "particles", "stride", "dim", "seed"}
 
-
-def _parse_pnorm(s: str) -> float:
-    if s in ("inf", "Inf", "INF"):
-        return math.inf
-    return float(s)
-
-
-def _add_common_flags(sp):
-    sp.add_argument("--config", help="optional `key = value` file; flags override it")
-    sp.add_argument("--sites", type=int)
-    sp.add_argument("--particles", type=int)
-    sp.add_argument("--particles-list", dest="particles_list",
-                    help="comma-separated, e.g. 2,3,4,5,6")
-    sp.add_argument("--dx", type=float)
-    sp.add_argument("--tfinal", type=float)
-    sp.add_argument("--dt", type=float)
-    sp.add_argument("--stride", type=int)
-    sp.add_argument("--potential", help="none | harmonic:<omega>")
-    sp.add_argument(
-        "--interaction",
-        help="constant:<c> | gaussian:<lam>,<sigma> | softcoulomb:<lam>,<eps> | invsquare:<lam>",
+def _spec_help(kinds: dict) -> str:
+    return " | ".join(
+        kind + (":" + ",".join(f"<{n}>" for n in names) if names else "")
+        for kind, names in kinds.items()
     )
-    sp.add_argument("--initial", help="gaussian:<x0>,<sigma> | groundstate")
-    sp.add_argument("--p1", type=_parse_pnorm)
-    sp.add_argument("--p2", type=_parse_pnorm)
-    sp.add_argument("--p", help="exponent for eta, e.g. 3/2 or 1.5")
-    sp.add_argument("--dim", type=int)
-    sp.add_argument("--K", type=float)
-    sp.add_argument("--method", choices=("krylov", "dense"))
-    sp.add_argument("--out")
-    sp.add_argument("--seed", type=int)
 
 
-def _coerce(key: str, value: str):
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _INT_KEYS:
-        return int(value)
-    if key in ("p1", "p2"):
-        return _parse_pnorm(value)
-    if key == "particles_list":
-        return tuple(int(s) for s in value.split(",") if s)
-    return value
+_HELP = {
+    "particles_list": "comma-separated, e.g. 2,3,4,5,6",
+    "potential": _spec_help(POTENTIALS),
+    "interaction": _spec_help(INTERACTIONS),
+    "initial": _spec_help(INITIALS),
+    "p": "exponent for eta, e.g. 3/2 or 1.5",
+    "method": "krylov | dense",
+}
 
 
-def _build_config(args) -> "RunConfig":
-    kwargs = {}
-    if getattr(args, "config", None):
-        for key, raw in parse_config_file(args.config).items():
-            kwargs[key] = _coerce(key, raw)
-    for key in (
-        "sites", "particles", "particles_list", "dx", "tfinal", "dt", "stride",
-        "potential", "interaction", "initial", "p1", "p2", "p", "dim", "K",
-        "method", "out", "seed",
-    ):
-        val = getattr(args, key, None)
-        if val is not None:
-            if key == "particles_list" and isinstance(val, str):
-                val = tuple(int(s) for s in val.split(",") if s)
-            kwargs[key] = val
-    return make_config(**kwargs)
+def add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """`--config` plus one text flag per `RunConfig` field."""
+    parser.add_argument("--config", help="optional `key = value` file; flags override it")
+    for f in fields(RunConfig):
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                            help=_HELP.get(f.name))
+
+
+def config_from_args(args) -> RunConfig:
+    """Merge the config file and the flags as text, flags winning, then
+    convert each setting with `parse_setting`."""
+    text = parse_config_file(args.config) if args.config else {}
+    for f in fields(RunConfig):
+        if getattr(args, f.name) is not None:
+            text[f.name] = getattr(args, f.name)
+    return make_config(**{key: parse_setting(key, val) for key, val in text.items()})
 
 
 def _emit(csv_text: str, out: str) -> None:
@@ -97,7 +72,7 @@ def _emit(csv_text: str, out: str) -> None:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _build_config(args)
+    cfg = config_from_args(args)
     result = run_simulation(cfg)
     _emit(records_csv(result.records), cfg.out)
     print(f"# fitted-K = {result.fitted_K()!r}", file=sys.stderr)
@@ -105,7 +80,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _build_config(args)
+    cfg = config_from_args(args)
     if not cfg.particles_list:
         raise ConfigError("sweep requires --particles-list")
     result = sweep_N(cfg)
@@ -123,7 +98,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_eta_curve(args) -> int:
-    ps = [Fraction(s) for s in args.p_grid.split(",") if s]
+    try:
+        ps = [Fraction(s) for s in args.p_grid.split(",") if s]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"p-grid: {exc}") from None
     rows, skipped = eta_curve(args.dim, ps)
     for p in skipped:
         print(f"# warning: p={p} outside (p0, 2], skipped", file=sys.stderr)
@@ -147,11 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("simulate", help="single run, CSV records")
-    _add_common_flags(sp)
+    add_run_flags(sp)
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("sweep", help="N-sweep with convergence-rate fit")
-    _add_common_flags(sp)
+    add_run_flags(sp)
     sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("eta-curve", help="rate exponent eta over a p grid")

@@ -40,6 +40,17 @@ from .reduce import E_k, R_k, gamma1, gamma2
 
 CSV_HEADER = "t,N,M,alpha,beta,E1,E2,R1,R2,EPsi,Ephi,phi_t,alpha_bound,beta_bound,slack_alpha"
 
+# Spec strings 'kind:a,b': {kind: parameter names}.
+POTENTIALS = {"none": (), "harmonic": ("omega",)}
+INTERACTIONS = {
+    "constant": ("c",),
+    "gaussian": ("lam", "sigma"),
+    "softcoulomb": ("lam", "eps"),
+    "invsquare": ("lam",),
+    "random": (),
+}
+INITIALS = {"gaussian": ("x0", "sigma"), "groundstate": ()}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -64,19 +75,29 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("sites", "particles", "dx", "tfinal", "dt", "stride"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(
+                    f"{name} must be positive and finite, got {getattr(self, name)}"
+                )
         if self.particles_list and list(self.particles_list) != sorted(
             set(self.particles_list)
         ):
             raise ConfigError("particles-list must be strictly increasing")
         if not (2 <= self.p1 <= self.p2):
             raise ConfigError(f"need 2 <= p1 <= p2, got p1={self.p1}, p2={self.p2}")
-        if self.K <= 0:
-            raise ConfigError(f"K must be positive, got {self.K}")
-        eta_of(Fraction(self.p), self.dim)  # validates p against (p0, 2]
+        if not 0 < self.K < math.inf:
+            raise ConfigError(f"K must be positive and finite, got {self.K}")
+        try:
+            p = Fraction(self.p)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"p: {exc}") from None
+        eta_of(p, self.dim)  # validates p against (p0, 2]
         if self.method not in ("krylov", "dense"):
             raise ConfigError(f"unknown method {self.method!r}")
+        _parse_spec(self.potential, POTENTIALS, "potential")
+        _parse_spec(self.interaction, INTERACTIONS, "interaction")
+        if self.initial:
+            _parse_spec(self.initial, INITIALS, "initial orbital")
 
     @property
     def steps(self) -> int:
@@ -90,11 +111,11 @@ class RunConfig:
         return eta_of(Fraction(self.p), self.dim)
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
 def make_config(**kwargs) -> RunConfig:
-    unknown = set(kwargs) - _CONFIG_KEYS
+    unknown = kwargs.keys() - _DEFAULTS.keys()
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
     return RunConfig(**kwargs)
@@ -112,10 +133,23 @@ def parse_config_file(path: str) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (s.strip() for s in line.split("=", 1))
             key = key.replace("-", "_")
-            if key not in _CONFIG_KEYS:
+            if key not in _DEFAULTS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             out[key] = value
     return out
+
+
+def parse_setting(key: str, text: str):
+    """Convert one setting given as text to the type of its `RunConfig`
+    field: int, float (`inf` included), str, or a comma list of ints for
+    `particles_list`."""
+    default = _DEFAULTS[key]
+    try:
+        if isinstance(default, tuple):
+            return tuple(int(s) for s in text.split(",") if s)
+        return type(default)(text)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def _parse_spec(spec: str, kinds: dict, what: str):
@@ -129,30 +163,22 @@ def _parse_spec(spec: str, kinds: dict, what: str):
         raise ConfigError(
             f"{what} {name!r} takes {len(names)} parameter(s) {names}, got {parts}"
         )
-    return name, dict(zip(names, (float(s) for s in parts)))
+    try:
+        values = [float(s) for s in parts]
+    except ValueError as exc:
+        raise ConfigError(f"{what} {name!r}: {exc}") from None
+    return name, dict(zip(names, values))
 
 
 def potential_field(cfg: RunConfig, grid: Grid):
-    name, params = _parse_spec(
-        cfg.potential, {"none": (), "harmonic": ("omega",)}, "potential"
-    )
+    name, params = _parse_spec(cfg.potential, POTENTIALS, "potential")
     if name == "none":
         return None
     return harmonic_potential(grid, params["omega"])
 
 
 def interaction_field(cfg: RunConfig, grid: Grid) -> LatticeField:
-    name, params = _parse_spec(
-        cfg.interaction,
-        {
-            "constant": ("c",),
-            "gaussian": ("lam", "sigma"),
-            "softcoulomb": ("lam", "eps"),
-            "invsquare": ("lam",),
-            "random": (),
-        },
-        "interaction",
-    )
+    name, params = _parse_spec(cfg.interaction, INTERACTIONS, "interaction")
     if name == "random":
         return sample_interaction(grid, "random", seed=cfg.seed)
     return sample_interaction(grid, name, **params)
@@ -160,9 +186,7 @@ def interaction_field(cfg: RunConfig, grid: Grid) -> LatticeField:
 
 def initial_orbital(cfg: RunConfig, grid: Grid, h: np.ndarray) -> Orbital:
     spec = cfg.initial or f"gaussian:{grid.length / 2.0},1"
-    name, params = _parse_spec(
-        spec, {"gaussian": ("x0", "sigma"), "groundstate": ()}, "initial orbital"
-    )
+    name, params = _parse_spec(spec, INITIALS, "initial orbital")
     if name == "groundstate":
         return ground_state(h, grid)
     return gaussian_orbital(grid, params["x0"], params["sigma"])
@@ -347,11 +371,6 @@ def eta_curve(d: int, p_values: list[Fraction]):
             continue
         rows.append((p, eta_of(p, d)))
     return rows, skipped
-
-
-def write_csv(records: list, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(records_csv(records))
 
 
 def records_csv(records: list) -> str:

@@ -1,16 +1,21 @@
 import math
 import subprocess
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mfdyn.bounds import conjugate_q, wnorm_upper_bound
-from mfdyn.cli import main
+from mfdyn.cli import build_parser, config_from_args, main
 from mfdyn.errors import ConfigError
 from mfdyn.harness import (
     CSV_HEADER,
+    INITIALS,
+    INTERACTIONS,
+    POTENTIALS,
+    RunConfig,
     default_cutoffs,
     eta_curve,
     initial_orbital,
@@ -21,7 +26,6 @@ from mfdyn.harness import (
     records_csv,
     run_simulation,
     sweep_N,
-    write_csv,
 )
 from mfdyn.lattice import Grid, lp_norm
 from mfdyn.onebody import build_h, evolve_hartree, hartree_energy
@@ -126,7 +130,7 @@ def test_csv_roundtrip_and_determinism(tmp_path):
     assert csv1 == csv2  # bitwise deterministic
     assert csv1.splitlines()[0] == CSV_HEADER
     path = tmp_path / "out.csv"
-    write_csv(res1.records, str(path))
+    path.write_text(records_csv(res1.records))
     assert path.read_text() == csv1
     # repr round-trip: parsing the floats back reproduces them exactly
     row = csv1.splitlines()[1].split(",")
@@ -238,6 +242,69 @@ def test_cli_sweep_reports_fit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "fit:" in err and "fitted-K" in err
     assert out.read_text().splitlines()[0] == CSV_HEADER
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--sites", "abc"],
+        ["simulate", "--method", "foo"],
+        ["simulate", "--p1", "x"],
+        ["simulate", "--interaction", "gaussian:1,x"],
+        ["sweep", "--particles-list", "2,x"],
+        ["simulate", "--p", "abc"],
+        ["simulate", "--tfinal", "inf"],
+        ["simulate", "--K", "nan"],
+        ["simulate", "--config", "{bad_cfg}"],
+        ["eta-curve", "--p-grid", "abc"],
+    ],
+)
+def test_cli_malformed_input_exits_1(argv, tmp_path, capsys):
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_text("sites = abc\n")
+    rc = main([a.format(bad_cfg=bad_cfg) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_cli_help_names_every_spec_kind(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for kinds in (POTENTIALS, INTERACTIONS, INITIALS):
+        for kind in kinds:
+            assert kind in out
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_every_config_field_has_a_flag(command):
+    for f in fields(RunConfig):
+        args = build_parser().parse_args([command, "--" + f.name.replace("_", "-"), "7"])
+        assert getattr(args, f.name) == "7"
+
+
+@pytest.mark.parametrize(
+    "key, text, value",
+    [
+        ("sites", "6", 6),
+        ("dx", "0.5", 0.5),
+        ("p1", "inf", math.inf),
+        ("method", "dense", "dense"),
+        ("particles_list", "2,3,4", (2, 3, 4)),
+    ],
+)
+def test_flag_and_config_file_give_equal_configs(key, text, value, tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key} = {text}\n")
+    flag = "--" + key.replace("_", "-")
+    from_flag = config_from_args(build_parser().parse_args(["simulate", flag, text]))
+    from_file = config_from_args(
+        build_parser().parse_args(["simulate", "--config", str(cfg_file)])
+    )
+    assert from_flag == from_file == make_config(**{key: value})
 
 
 def test_module_entrypoint_runs():

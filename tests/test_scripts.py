@@ -1,0 +1,35 @@
+"""Smoke tests: each experiment script runs to completion on a small case."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env,
+    )
+
+
+def test_envelope_check_runs():
+    proc = run_script(
+        "envelope_check.py", "--sites", "6", "--particles", "3",
+        "--tfinal", "0.05", "--dt", "0.005", "--stride", "5",
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-2] == "envelope violated: False"
+    assert lines[-1].startswith("fitted-K for the beta envelope: ")
+
+
+def test_eta_table_runs():
+    proc = run_script("eta_table.py", "--points", "4")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["2", "1/2", "2.000000", "0.500000"]
