@@ -3,7 +3,8 @@
 Hartree orbital, then print how much room the closed-form alpha envelope
 (alpha(0) + 1/N) e^{phi(t)} leaves above the measured alpha(t).
 
-Takes the run flags of `mfdyn simulate` (with `--stride` defaulting to 100).
+Takes the run flags of `mfdyn simulate` (with `--stride` defaulting to 100)
+except `--particles-list`; `--out run.csv` also writes the run's CSV records.
 
 Usage:
     python scripts/envelope_check.py [--particles 4] [--interaction gaussian:1,1]
@@ -13,7 +14,7 @@ import sys
 
 from mfdyn.cli import add_run_flags, config_from_args
 from mfdyn.errors import ConfigError
-from mfdyn.harness import run_simulation
+from mfdyn.harness import records_csv, run_simulation
 
 
 def main() -> int:
@@ -25,7 +26,12 @@ def main() -> int:
         cfg = config_from_args(args)
     except ConfigError as exc:
         ap.error(str(exc))
+    if cfg.particles_list:
+        ap.error("--particles-list belongs to `mfdyn sweep`; this script runs one N")
     result = run_simulation(cfg)
+    if cfg.out:
+        with open(cfg.out, "w") as fh:
+            fh.write(records_csv(result.records))
     print(f"{'t':>6} {'alpha':>12} {'envelope':>12} {'slack':>12} {'beta':>12}")
     for r in result.records:
         print(

@@ -99,10 +99,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_eta_curve(args) -> int:
     try:
+        d = int(args.dim)
+    except ValueError as exc:
+        raise ConfigError(f"dim: {exc}") from None
+    try:
         ps = [Fraction(s) for s in args.p_grid.split(",") if s]
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"p-grid: {exc}") from None
-    rows, skipped = eta_curve(args.dim, ps)
+    rows, skipped = eta_curve(d, ps)
     for p in skipped:
         print(f"# warning: p={p} outside (p0, 2], skipped", file=sys.stderr)
     lines = ["p,eta"] + [f"{float(p):.12f},{float(e):.12f}" for p, e in rows]
@@ -133,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("eta-curve", help="rate exponent eta over a p grid")
-    sp.add_argument("--dim", type=int, default=3)
+    sp.add_argument("--dim", default="3", help="spatial dimension d of the rate exponent")
     sp.add_argument("--p-grid", dest="p_grid", required=True,
                     help="comma-separated p values, fractions allowed (3/2)")
     sp.add_argument("--out")

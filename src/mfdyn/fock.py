@@ -26,8 +26,9 @@ DENSE_ORACLE_CAP = 4096
 class OccupationBasis:
     """All occupation vectors of N bosons on M sites, first site descending.
 
-    Data derived from the basis (rank table, hop and annihilation maps) is
-    kept in `_cache`, so it lives exactly as long as the basis.
+    Data derived from the basis (rank table, annihilation map, CSR pattern
+    of one-body operators) is kept in `_cache`, so it lives exactly as long
+    as the basis.
     """
 
     sites: int
@@ -104,55 +105,87 @@ def annihilate_all(
     return coef * amps[..., rows], sub
 
 
-def _hop_structure(basis: OccupationBasis):
-    """Static data for dGamma(A) = sum_ij A_ij a_i^dag a_j: for every state t
-    of the N-1 sector and ordered pair i != j, the hop from t + e_j to t + e_i
-    with amplitude sqrt((t_i + 1)(t_j + 1))."""
-    if "hops" not in basis._cache:
+def _onebody_pattern(basis: OccupationBasis):
+    """Static CSR data for dGamma(A) = sum_ij A_ij a_i^dag a_j.
+
+    For every state t of the N-1 sector and ordered pair i != j there is a
+    hop from t + e_j to t + e_i with amplitude sqrt((t_i + 1)(t_j + 1)).
+    Returns `indptr` and `indices` of all hops plus the diagonal in
+    canonical order; per CSR entry the flat index i*M + j and the amplitude
+    of its hop (0 and 0.0 on the diagonal); and the CSR position of every
+    diagonal entry. One COO->CSR pass over the entry numbers yields the
+    ordering.
+    """
+    if "pattern" not in basis._cache:
         sub, rows, _ = _annihilation_map(basis)
-        i, j = np.nonzero(~np.eye(basis.sites, dtype=bool))
+        M, dim = basis.sites, basis.dim
+        i, j = np.nonzero(~np.eye(M, dtype=bool))
         up = sub.states.T + 1
-        basis._cache["hops"] = (
-            rows[i].ravel(),
-            rows[j].ravel(),
-            np.repeat(i, sub.dim),
-            np.repeat(j, sub.dim),
-            np.sqrt(up[i] * up[j]).ravel(),
+        diag = np.arange(dim)
+        n_hops = i.size * sub.dim
+        row = np.concatenate([rows[i].ravel(), diag])
+        col = np.concatenate([rows[j].ravel(), diag])
+        order = sp.coo_matrix(
+            (np.arange(n_hops + dim), (row, col)), shape=(dim, dim)
+        ).tocsr()
+        entry = order.data
+        for a in (order.indptr, order.indices):
+            a.flags.writeable = False  # shared by every operator built on them
+        basis._cache["pattern"] = (
+            order.indptr,
+            order.indices,
+            np.concatenate([np.repeat(i * M + j, sub.dim), np.zeros(dim, dtype=np.intp)])[entry],
+            np.concatenate([np.sqrt(up[i] * up[j]).ravel(), np.zeros(dim)])[entry],
+            np.flatnonzero(entry >= n_hops),
         )
-    return basis._cache["hops"]
+    return basis._cache["pattern"]
 
 
-def second_quantize_onebody(A: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:
-    """dGamma(A) = sum_ij A_ij a_i^dag a_j on the occupation basis."""
+def second_quantize_onebody(
+    A: np.ndarray, basis: OccupationBasis, extra_diag=None
+) -> sp.csr_matrix:
+    """dGamma(A) = sum_ij A_ij a_i^dag a_j on the occupation basis, plus
+    `extra_diag` on the diagonal when given.
+
+    The values are filled into the basis's cached CSR pattern. Entries that
+    come out zero are dropped and -0.0 parts become +0.0, so the result
+    equals, bit for bit, the sparse sum of the hop matrix and the diagonals.
+    """
     A = np.asarray(A)
     if A.shape != (basis.sites, basis.sites):
         raise ConfigError(
             f"operator shape {A.shape} does not match M={basis.sites}"
         )
-    rows, cols, iidx, jidx, amps = _hop_structure(basis)
-    data = A[iidx, jidx] * amps
+    indptr, indices, ij, amps, diag_pos = _onebody_pattern(basis)
     diag = basis.states.astype(complex) @ np.diag(A).astype(complex)
-    H = sp.coo_matrix(
-        (data.astype(complex), (rows, cols)), shape=(basis.dim, basis.dim)
-    ).tocsr()
-    H = H + sp.diags(diag.astype(complex))
-    return H.tocsr()
+    if extra_diag is not None:
+        diag += extra_diag
+    data = np.empty(indices.size, dtype=complex)
+    np.multiply(A.ravel()[ij], amps, out=data)
+    data[diag_pos] = diag
+    data += 0.0
+    keep = data != 0
+    if not keep.all():
+        data, indices = data[keep], indices[keep]
+        indptr = np.concatenate([[0], np.cumsum(keep)])[indptr]
+    return sp.csr_matrix((data, indices, indptr), shape=(basis.dim, basis.dim))
 
 
-def interaction_diagonal(w: LatticeField, basis: OccupationBasis) -> sp.csr_matrix:
-    """sum_{x<y} w(d(x,y)) n_x n_y + (1/2) w(0) sum_x n_x (n_x - 1), diagonal."""
+def interaction_diagonal(w: LatticeField, basis: OccupationBasis) -> np.ndarray:
+    """sum_{x<y} w(d(x,y)) n_x n_y + (1/2) w(0) sum_x n_x (n_x - 1), the
+    diagonal of the pair interaction on the occupation basis."""
     W = convolution_kernel_matrix(w)
     occ = basis.states.astype(float)
-    pair = 0.5 * np.einsum("sx,xy,sy->s", occ, W, occ) - 0.5 * W[0, 0] * occ.sum(axis=1)
-    return sp.diags(pair.astype(complex)).tocsr()
+    return 0.5 * np.einsum("sx,xy,sy->s", occ, W, occ) - 0.5 * W[0, 0] * occ.sum(axis=1)
 
 
 def build_HN(h: np.ndarray, w: LatticeField, basis: OccupationBasis) -> sp.csr_matrix:
-    """H_N = dGamma(h) + (1/N) * pair interaction."""
-    H = second_quantize_onebody(h, basis)
-    if basis.particles > 0:
-        H = H + interaction_diagonal(w, basis) / basis.particles
-    return H.tocsr()
+    """H_N = dGamma(h) + (1/N) * pair interaction, as one CSR."""
+    if basis.particles == 0:
+        return second_quantize_onebody(h, basis)
+    # times 1/N, not / N: the scalar division of a sparse matrix did this
+    pair = interaction_diagonal(w, basis).astype(complex) * (1 / basis.particles)
+    return second_quantize_onebody(h, basis, pair)
 
 
 @dataclass(frozen=True, eq=False)

@@ -248,23 +248,54 @@ def default_cutoffs(w: LatticeField) -> list[float]:
     return sorted(set([0.0, *(float(q) for q in qs), float(absw.max())]))
 
 
-def run_simulation(cfg: RunConfig) -> RunResult:
-    """Co-evolve Psi (exact) and phi (Hartree); one record per stride."""
+@dataclass(frozen=True)
+class HartreeSide:
+    """The part of a run that does not depend on N: the one-body
+    Hamiltonian, the interaction, the Hartree orbital at every step
+    (`orbitals[0]` is phi_0), the time grid, the bound on ||w|| and the
+    integrands of the alpha and beta envelopes."""
+
+    h: np.ndarray
+    w: LatticeField
+    orbitals: list
+    times: np.ndarray
+    w_bound: float
+    env_integrand: np.ndarray
+    ptil_integrand: np.ndarray
+
+
+def hartree_side(cfg: RunConfig) -> HartreeSide:
+    """Build the lattice problem of `cfg` and solve its Hartree flow."""
     grid = Grid(cfg.sites, cfg.dx)
     v = potential_field(cfg, grid)
     w = interaction_field(cfg, grid)
     h = build_h(grid, v)
-    phi0 = initial_orbital(cfg, grid, h)
+    steps = cfg.steps
+    orbitals = evolve_hartree(grid, v, w, initial_orbital(cfg, grid, h), cfg.dt, steps)
+    return HartreeSide(
+        h=h,
+        w=w,
+        orbitals=orbitals,
+        times=cfg.dt * np.arange(steps + 1),
+        w_bound=wnorm_upper_bound(w, cfg.p1, cfg.p2, default_cutoffs(w)),
+        env_integrand=envelope_integrand(orbitals, conjugate_q(cfg.p1), conjugate_q(cfg.p2)),
+        ptil_integrand=phi_tilde_integrand(orbitals, h),
+    )
+
+
+def run_simulation(cfg: RunConfig, side: HartreeSide | None = None) -> RunResult:
+    """Co-evolve Psi (exact) and phi (Hartree); one record per stride.
+
+    `side` is `hartree_side(c)` of a config `c` that differs from `cfg` at
+    most in `particles`; it is computed here when not given.
+    """
     N = cfg.particles
     basis = enumerate_basis(cfg.sites, N)
+    if side is None:
+        side = hartree_side(cfg)
+    h, w, orbitals, times = side.h, side.w, side.orbitals, side.times
     H = build_HN(h, w, basis)
     steps = cfg.steps
-
-    orbitals = evolve_hartree(grid, v, w, phi0, cfg.dt, steps)
-    times = cfg.dt * np.arange(steps + 1)
-
-    w_bound = wnorm_upper_bound(w, cfg.p1, cfg.p2, default_cutoffs(w))
-    q1, q2 = conjugate_q(cfg.p1), conjugate_q(cfg.p2)
     eta = float(cfg.eta)
 
     pcfg = PropagatorConfig(
@@ -276,7 +307,7 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     stepper = NBodyStepper(H, pcfg)
 
     record_steps = sorted(set(list(range(0, steps + 1, cfg.stride)) + [steps]))
-    psi = product_state(phi0, basis)
+    psi = product_state(orbitals[0], basis)
     records: list[TimeRecord] = []
     phi_tildes: list[float] = []
     alpha0 = beta0 = gap = 0.0
@@ -303,11 +334,11 @@ def run_simulation(cfg: RunConfig) -> RunResult:
             e_psi, e_phi = energies(state, H, phi_t, h, w)
             if k == 0:
                 alpha0, beta0, gap = alpha, beta, e_psi - e_phi
-                env_integrand = envelope_integrand(orbitals, q1, q2)
-                ptil_integrand = phi_tilde_integrand(orbitals, h)
-            phi_env = phi_envelope_integral(env_integrand[: k + 1], times[: k + 1], w_bound)
+            phi_env = phi_envelope_integral(
+                side.env_integrand[: k + 1], times[: k + 1], side.w_bound
+            )
             a_bound = gronwall_alpha_bound(alpha0, N, phi_env)
-            ptil = phi_tilde_integral(ptil_integrand[: k + 1], times[: k + 1])
+            ptil = phi_tilde_integral(side.ptil_integrand[: k + 1], times[: k + 1])
             b_bound = beta_bound_envelope(beta0, gap, N, eta, cfg.K, ptil)
             records.append(
                 TimeRecord(
@@ -340,12 +371,15 @@ class SweepResult:
 
 
 def sweep_N(cfg: RunConfig) -> SweepResult:
-    """Run each N in turn, merge records by (N, t), fit log-log slopes of
-    the final-time indicators against N."""
+    """Run each N in turn on one shared Hartree side, merge records by
+    (N, t), fit log-log slopes of the final-time indicators against N."""
     Ns = list(cfg.particles_list)
     if len(Ns) < 3:
         raise ConfigError("a sweep needs at least 3 values of N")
-    runs = {N: run_simulation(replace(cfg, particles=N, particles_list=())) for N in Ns}
+    side = hartree_side(cfg)
+    runs = {
+        N: run_simulation(replace(cfg, particles=N, particles_list=()), side) for N in Ns
+    }
 
     records = [r for N in Ns for r in runs[N].records]
     records.sort(key=lambda r: (r.N, r.t))

@@ -48,25 +48,23 @@ def lanczos_expm_apply(H, v: np.ndarray, dt: float, maxdim: int, tol: float) -> 
     if nrm == 0:
         return v.copy()
     V = np.empty((maxdim, v.shape[0]), dtype=complex)
-    alpha = np.zeros(maxdim)
-    beta = np.zeros(maxdim)
+    T = np.zeros((maxdim, maxdim))  # tridiagonal Lanczos matrix, filled in place
     V[0] = v / nrm
     w = H @ V[0]
-    alpha[0] = np.real(np.vdot(V[0], w))
-    w = w - alpha[0] * V[0]
+    T[0, 0] = np.real(np.vdot(V[0], w))
+    w = w - T[0, 0] * V[0]
     for j in range(1, maxdim + 1):
         b = np.linalg.norm(w)
-        T = np.diag(alpha[:j]) + np.diag(beta[1:j], 1) + np.diag(beta[1:j], -1)
-        y = scipy.linalg.expm(-1j * dt * T)[:, 0]
+        y = scipy.linalg.expm(-1j * dt * T[:j, :j])[:, 0]
         if b < 1e-14 or b * abs(y[-1]) * abs(dt) < tol:
             return nrm * (y @ V[:j])
         if j == maxdim:
             break
-        beta[j] = b
+        T[j - 1, j] = T[j, j - 1] = b
         V[j] = w / b
-        w = H @ V[j] - beta[j] * V[j - 1]
-        alpha[j] = np.real(np.vdot(V[j], w))
-        w = w - alpha[j] * V[j]
+        w = H @ V[j] - b * V[j - 1]
+        T[j, j] = np.real(np.vdot(V[j], w))
+        w = w - T[j, j] * V[j]
         # full reorthogonalization; cheap at desk-scale subspace sizes
         w = w - (V[: j + 1].conj() @ w) @ V[: j + 1]
     raise NumericalFailure(
@@ -113,14 +111,3 @@ class NBodyStepper:
                 f"norm drifted to {np.linalg.norm(out)} beyond the unitarity tolerance"
             )
         return out
-
-
-def evolve_nbody(H, psi0: ManyBodyState, cfg: PropagatorConfig) -> list[ManyBodyState]:
-    """States at t = 0, dt, ..., steps*dt."""
-    stepper = NBodyStepper(H, cfg)
-    out = [psi0]
-    amps = psi0.amps
-    for _ in range(cfg.steps):
-        amps = stepper.step(amps)
-        out.append(ManyBodyState(psi0.basis, amps))
-    return out

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,11 +85,64 @@ def test_second_quantize_commutator_homomorphism(rng):
     assert np.allclose(dA @ dB - dB @ dA, dC, atol=1e-10)
 
 
+def sparse_sum_route(A, basis, pair=None):
+    """dGamma(A) [+ pair/N] as the sum of a COO hop matrix and sparse
+    diagonals: the reference that the pattern fill must equal bit for bit."""
+    M, N = basis.sites, basis.particles
+    t = enumerate_basis(M, N - 1).states
+    i, j = np.nonzero(~np.eye(M, dtype=bool))
+    e = np.eye(M, dtype=np.int64)
+    rows = basis.rank(t[None] + e[i][:, None]).ravel()
+    cols = basis.rank(t[None] + e[j][:, None]).ravel()
+    hops = (A[i, j][:, None] * np.sqrt((t.T[i] + 1) * (t.T[j] + 1))).ravel()
+    H = sp.coo_matrix((hops.astype(complex), (rows, cols)), shape=(basis.dim,) * 2).tocsr()
+    H = H + sp.diags(basis.states.astype(complex) @ np.diag(A).astype(complex))
+    if pair is not None:
+        H = H + sp.diags(pair.astype(complex)).tocsr() / N
+    return H.tocsr()
+
+
+def assert_same_csr(got, want, rng):
+    assert got.has_canonical_format
+    assert np.all(got.data != 0)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    v = rng.normal(size=got.shape[1]) + 1j * rng.normal(size=got.shape[1])
+    assert (got @ v).tobytes() == (want @ v).tobytes()
+
+
+@pytest.mark.parametrize("M,N", [(2, 5), (4, 3), (8, 4), (8, 6), (12, 6), (3, 40)])
+def test_csr_fill_is_bit_identical_to_sparse_sum(rng, M, N):
+    grid = Grid(M, 0.7)
+    basis = enumerate_basis(M, N)
+    n_entries = basis.dim + M * (M - 1) * enumerate_basis(M, N - 1).dim
+    vals = rng.normal(size=M) + 1j * rng.normal(size=M)
+    vals[::2] = 0.0  # exact zeros in the orbital give zero entries of q
+    real_q = condensate_projectors(Orbital.normalized(grid, rng.normal(size=M)))[1]
+    projectors = [
+        condensate_projectors(random_orbital(rng, grid))[1],
+        condensate_projectors(Orbital.normalized(grid, vals))[1],
+        real_q.conj(),  # imaginary parts -0.0, stored as +0.0
+    ]
+    for q in projectors:
+        assert_same_csr(second_quantize_onebody(q, basis), sparse_sum_route(q, basis), rng)
+    w = sample_interaction(grid, "random", seed=M * N)
+    pair = interaction_diagonal(w, basis)
+    for v in (None, LatticeField(grid, rng.normal(size=M))):
+        h = build_h(grid, v)
+        dh = second_quantize_onebody(h, basis)
+        assert_same_csr(dh, sparse_sum_route(h, basis), rng)
+        assert_same_csr(build_HN(h, w, basis), sparse_sum_route(h, basis, pair), rng)
+        if M >= 4:  # hops between non-neighbours are zero and dropped
+            assert dh.nnz < n_entries
+
+
 def test_interaction_diagonal_two_particles_one_site():
     g = Grid(2, 1.0)
     w = sample_interaction(g, "constant", c=3.0)
     basis = enumerate_basis(2, 2)
-    diag = interaction_diagonal(w, basis).diagonal().real
+    diag = interaction_diagonal(w, basis).real
     # states (2,0), (1,1), (0,2): one pair each, w = 3 everywhere
     assert np.allclose(diag, [3.0, 3.0, 3.0], atol=1e-12)
 

@@ -1,12 +1,13 @@
 import math
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from mfdyn import harness
 from mfdyn.bounds import conjugate_q, wnorm_upper_bound
 from mfdyn.cli import build_parser, config_from_args, main
 from mfdyn.errors import ConfigError
@@ -160,6 +161,24 @@ def test_sweep_concurrency_matches_serial():
     assert records_csv(res.runs[3].records) == records_csv(serial.records)
 
 
+def test_sweep_solves_hartree_once_and_matches_single_runs(monkeypatch):
+    cfg = make_config(**FAST, particles_list=(2, 3, 4))
+    calls = []
+    solve = harness.evolve_hartree
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "evolve_hartree", counted)
+    res = sweep_N(cfg)
+    assert len(calls) == 1
+    for N in cfg.particles_list:
+        single = run_simulation(replace(cfg, particles=N, particles_list=()))
+        assert records_csv(res.runs[N].records) == records_csv(single.records)
+    assert len(calls) == 1 + len(cfg.particles_list)
+
+
 def test_eta_curve_rows_and_skips():
     rows, skipped = eta_curve(3, [Fraction(1, 1), Fraction(3, 2), Fraction(2, 1)])
     assert skipped == [Fraction(1, 1)]
@@ -257,6 +276,7 @@ def test_cli_sweep_reports_fit(tmp_path, capsys):
         ["simulate", "--K", "nan"],
         ["simulate", "--config", "{bad_cfg}"],
         ["eta-curve", "--p-grid", "abc"],
+        ["eta-curve", "--dim", "abc", "--p-grid", "3/2"],
     ],
 )
 def test_cli_malformed_input_exits_1(argv, tmp_path, capsys):

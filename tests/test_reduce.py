@@ -15,7 +15,7 @@ from mfdyn.fock import (
 )
 from mfdyn.lattice import Grid, sample_interaction
 from mfdyn.onebody import Orbital, build_h
-from mfdyn.propagate import PropagatorConfig, evolve_nbody
+from mfdyn.propagate import NBodyStepper, PropagatorConfig
 from mfdyn.reduce import (
     DensityMatrix,
     E_k,
@@ -186,7 +186,10 @@ def test_bbgky_k1_residual(rng):
     psi0 = product_state(phi, basis)
     H = build_HN(h, w, basis)
     dt = 1e-3
-    states = evolve_nbody(H, psi0, PropagatorConfig(dt=dt, steps=2, krylov_tol=1e-13))
+    stepper = NBodyStepper(H, PropagatorConfig(dt=dt, steps=2, krylov_tol=1e-13))
+    states = [psi0]
+    for _ in range(2):
+        states.append(ManyBodyState(basis, stepper.step(states[-1].amps)))
     g_minus = gamma1(states[0]).mat
     g_mid = gamma1(states[1])
     g_plus = gamma1(states[2]).mat
