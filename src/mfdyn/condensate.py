@@ -3,12 +3,16 @@ alpha = <Psi, m(dGamma(q)/...)> and beta, computed from moments of the
 excitation-number operator dGamma(q).
 
 dGamma(q) with q a projector has spectrum in {0, ..., N}, so the weights
-solve an (N+1)-node Vandermonde system with known integer nodes. A Lagrange
-filter-polynomial path cross-checks every call.
+solve an (N+1)-node Vandermonde system with known integer nodes (N products
+with dGamma(q)). An independent Lagrange filter-polynomial route cross-checks
+every call: since dGamma(q) is Hermitian, each filter polynomial splits into
+the factors below and above k, and one prefix chain and one suffix chain of
+N products each give every w_k as an inner product.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +56,42 @@ def weight_function_n(N: int) -> np.ndarray:
     return np.sqrt(np.arange(N + 1) / N)
 
 
+def moment_weights(A, amps: np.ndarray, N: int) -> np.ndarray:
+    """Weights from the moments mu_j = <Psi, A^j Psi>, j = 0..N: the
+    (N+1)-node Vandermonde system with nodes 0..N (N products with A)."""
+    vecs = [amps]
+    for _ in range(N):
+        vecs.append(A @ vecs[-1])
+    mu = np.array([np.real(np.vdot(amps, v)) for v in vecs])
+    nodes = np.arange(N + 1, dtype=float)
+    V = nodes[None, :] ** np.arange(N + 1)[:, None]
+    V[0] = 1.0  # 0^0 = 1
+    return np.linalg.solve(V, mu)
+
+
+def lagrange_weights(A, amps: np.ndarray, N: int) -> np.ndarray:
+    """Weights from the Lagrange filter polynomials, split through the
+    Hermiticity of A:
+
+        w_k = <prod_{l<k} (A - l) Psi, prod_{l>k} (A - l) Psi> / prod_{l != k} (k - l).
+
+    One prefix chain and one suffix chain of N products with A each."""
+    prefix = [amps]  # prefix[k] = prod_{l<k} (A - l) Psi
+    for l in range(N):
+        prefix.append(A @ prefix[-1] - l * prefix[-1])
+    w = np.empty(N + 1)
+    suffix = amps  # prod_{l>k} (A - l) Psi, from k = N down
+    for k in range(N, -1, -1):
+        denom = (-1) ** (N - k) * math.factorial(k) * math.factorial(N - k)
+        w[k] = np.real(np.vdot(prefix[k], suffix)) / denom
+        if k > 0:
+            suffix = A @ suffix - k * suffix
+    return w
+
+
 def occupation_weights(psi: ManyBodyState, phi: Orbital) -> WeightDistribution:
-    """Weights from moments of dGamma(q), q = 1 - |phi><phi|, with a
-    Lagrange-filter cross-check."""
+    """Weights from moments of dGamma(q), q = 1 - |phi><phi|, cross-checked
+    by the split Lagrange route; 3N products with dGamma(q) in all."""
     N = psi.basis.particles
     if N > MAX_N:
         raise ConfigError(
@@ -62,27 +99,8 @@ def occupation_weights(psi: ManyBodyState, phi: Orbital) -> WeightDistribution:
         )
     _, q = condensate_projectors(phi)
     A = second_quantize_onebody(q, psi.basis)
-
-    # moment path: mu_j = <Psi, A^j Psi>, Vandermonde nodes 0..N
-    vecs = [psi.amps]
-    for _ in range(N):
-        vecs.append(A @ vecs[-1])
-    mu = np.array([np.real(np.vdot(psi.amps, v)) for v in vecs])
-    nodes = np.arange(N + 1, dtype=float)
-    V = nodes[None, :] ** np.arange(N + 1)[:, None]
-    V[0] = 1.0  # 0^0 = 1
-    w_mom = np.linalg.solve(V, mu)
-
-    # Lagrange path: w_k = <Psi, prod_{l != k} (A - l)/(k - l) Psi>
-    w_lag = np.empty(N + 1)
-    for k in range(N + 1):
-        v = psi.amps.copy()
-        for l in range(N + 1):
-            if l == k:
-                continue
-            v = (A @ v - l * v) / (k - l)
-        w_lag[k] = np.real(np.vdot(psi.amps, v))
-
+    w_mom = moment_weights(A, psi.amps, N)
+    w_lag = lagrange_weights(A, psi.amps, N)
     if np.max(np.abs(w_mom - w_lag)) > CROSS_CHECK_TOL:
         raise NumericalFailure(
             "moment and Lagrange weight paths disagree by "

@@ -3,11 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mfdyn.condensate as condensate
 from mfdyn.condensate import (
     MAX_N,
     WeightDistribution,
     alpha_of,
     beta_of,
+    lagrange_weights,
+    moment_weights,
     occupation_weights,
     tensor_hat_f,
     tensor_sector_projectors,
@@ -98,6 +101,44 @@ def test_alpha_beta_ordering(seed):
     assert a <= b + 1e-12
     assert b <= np.sqrt(max(a, 0.0)) + 1e-9
     assert wd.weights.sum() == pytest.approx(1.0, abs=1e-8)
+
+
+def _lagrange_weights_per_k(A, amps, N):
+    """The Lagrange route one filter polynomial at a time:
+    w_k = <Psi, prod_{l != k} (A - l)/(k - l) Psi>, N (N + 1) products."""
+    w = np.empty(N + 1)
+    for k in range(N + 1):
+        v = amps.copy()
+        for l in range(N + 1):
+            if l != k:
+                v = (A @ v - l * v) / (k - l)
+        w[k] = np.real(np.vdot(amps, v))
+    return w
+
+
+@pytest.mark.parametrize("M,N", [(2, 12), (3, 12), (8, 6)])
+def test_split_lagrange_matches_per_k_product_form(rng, M, N):
+    phi = random_orbital(rng, Grid(M, 1.0))
+    psi = random_state(rng, M, N)
+    A = second_quantize_onebody(condensate_projectors(phi)[1], psi.basis)
+    got = lagrange_weights(A, psi.amps, N)
+    want = _lagrange_weights_per_k(A, psi.amps, N)
+    assert np.max(np.abs(got - want)) <= 1e-10
+
+
+def test_cross_check_fires_on_perturbed_moment_solve(rng, monkeypatch):
+    phi = random_orbital(rng, Grid(4, 1.0))
+    psi = random_state(rng, 4, 3)
+    occupation_weights(psi, phi)  # the unperturbed routes agree
+
+    def perturbed(A, amps, N):
+        w = moment_weights(A, amps, N)
+        w[1] += 1e-3
+        return w
+
+    monkeypatch.setattr(condensate, "moment_weights", perturbed)
+    with pytest.raises(NumericalFailure, match="disagree"):
+        occupation_weights(psi, phi)
 
 
 def test_weights_capped_at_max_n(rng):

@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -328,9 +329,13 @@ def test_flag_and_config_file_give_equal_configs(key, text, value, tmp_path):
 
 
 def test_module_entrypoint_runs():
+    # the child imports mfdyn from the tree under test, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "mfdyn", "check", "bounds"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "PASS bounds/" in proc.stdout

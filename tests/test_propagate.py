@@ -4,6 +4,7 @@ import scipy.linalg
 
 from mfdyn.errors import ConfigError, NumericalFailure
 from mfdyn.fock import ManyBodyState, build_HN, enumerate_basis, product_state
+from mfdyn.harness import make_config, run_simulation
 from mfdyn.lattice import Grid, sample_interaction
 from mfdyn.onebody import build_h
 from mfdyn.propagate import (
@@ -52,6 +53,32 @@ def test_lanczos_matches_scipy_expm(small_system):
     got = lanczos_expm_apply(H, psi0.amps, dt, maxdim=40, tol=1e-12)
     want = scipy.linalg.expm(-1j * dt * H.toarray()) @ psi0.amps
     assert np.allclose(got, want, atol=1e-11)
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.05, 1.0, 50.0])
+def test_tridiagonal_exponential_matches_scipy_expm(rng, dt):
+    # Lanczos from e_1 on a symmetric tridiagonal T reproduces T up to the
+    # signs of its off-diagonal, and with tol=0 it stops only on the happy
+    # breakdown at j = dim, so the result is exp(-i dt T) e_1 from the
+    # eigendecomposition of the whole of T.
+    for j in range(1, 13):
+        T = np.diag(rng.normal(size=j)) + np.diag(rng.normal(size=j - 1), 1)
+        T = T + np.triu(T, 1).T
+        e1 = np.eye(j, dtype=complex)[0]
+        got = lanczos_expm_apply(T, e1, dt, maxdim=j, tol=0.0)
+        want = scipy.linalg.expm(-1j * dt * T)[:, 0]
+        assert np.max(np.abs(got - want)) <= 1e-12, (j, dt)
+
+
+def test_step_loop_never_calls_scipy_expm(monkeypatch):
+    # scipy's expm runs on scipy's own OpenBLAS pool; calling it between
+    # numpy's small BLAS calls in the step loop slows every one of them
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.linalg.expm called")
+
+    monkeypatch.setattr(scipy.linalg, "expm", refuse)
+    cfg = make_config(sites=4, particles=3, tfinal=0.02, dt=1e-3, stride=5)
+    assert len(run_simulation(cfg).records) == 5
 
 
 def test_lanczos_zero_vector(small_system):
