@@ -9,7 +9,7 @@ import numpy as np
 from .errors import ConfigError
 from .fock import ManyBodyState
 from .lattice import LatticeField, lp_norm
-from .onebody import Orbital, hartree_energy, mean_field_potential
+from .onebody import Orbital, hartree_energy
 from .propagate import expectation
 
 
@@ -84,12 +84,6 @@ def gronwall_alpha_bound(alpha0: float, N: int, phi_t: float) -> float:
     if N < 1:
         raise ConfigError(f"N must be >= 1, got {N}")
     return float((alpha0 + 1.0 / N) * np.exp(phi_t))
-
-
-def pair_interaction_expectation(phi: Orbital, w: LatticeField) -> float:
-    """<phi (x) phi, W_12 phi (x) phi> = integral w(x-y) |phi(x)|^2 |phi(y)|^2."""
-    wphi = mean_field_potential(w, phi).values.real
-    return float(phi.grid.spacing * (np.abs(phi.values) ** 2 @ wphi))
 
 
 def energies(

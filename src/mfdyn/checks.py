@@ -1,31 +1,173 @@
-"""Runnable invariant suites backing the `check` CLI subcommand.
+"""Runnable invariant suites backing the `check` CLI subcommand, and the
+first-quantised reference they and the tests compare against: the dense
+tensor-space Hamiltonian and symmetrizer, the occupation-to-tensor
+isometry, tensor sector projectors, and the hierarchy and mean-field
+residuals. No run imports this module.
 
 Each suite returns CheckResult rows with measured residuals; a suite passes
 iff every row does.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .bounds import eta_of, p0_of
 from .errors import ConfigError
-from .fock import (
-    build_HN,
-    dense_oracle,
-    enumerate_basis,
-    occupation_to_tensor_isometry,
-    product_state,
+from .fock import OccupationBasis, _multinomial, build_HN, enumerate_basis, product_state
+from .lattice import (
+    Grid,
+    LatticeField,
+    convolution_kernel_matrix,
+    lp_norm,
+    periodic_convolution,
+    sample_interaction,
 )
-from .lattice import Grid, LatticeField, lp_norm, periodic_convolution, sample_interaction
-from .onebody import Orbital, build_h, evolve_hartree, hartree_energy
+from .onebody import (
+    Orbital,
+    build_h,
+    condensate_projectors,
+    evolve_hartree,
+    hartree_energy,
+    mean_field_potential,
+)
 from .propagate import NBodyStepper, PropagatorConfig
-from .reduce import DensityMatrix, E_k, R_k, partial_trace_2to1, seiringer_check
+from .reduce import DensityMatrix, E_k, R_k, _condensate_vector
 
-SUITES = ("indicators", "fock-oracle", "conservation", "bounds", "all")
+DENSE_ORACLE_CAP = 4096
 
+
+# ---------------------------------------------------------------------------
+# First-quantised reference on the tensor space (C^M)^(x)N
+# ---------------------------------------------------------------------------
+
+def _site_indices(M: int, N: int) -> np.ndarray:
+    """(M^N, N) array: particle coordinates for each tensor basis index."""
+    if M**N > DENSE_ORACLE_CAP:
+        raise ConfigError(f"dense oracle size {M**N} exceeds cap {DENSE_ORACLE_CAP}")
+    return np.indices((M,) * N).reshape(N, -1).T
+
+
+def symmetrizer(M: int, N: int) -> np.ndarray:
+    """Orthogonal projector onto the symmetric subspace of (C^M)^(x) N."""
+    flat = _site_indices(M, N)
+    dim = M**N
+    S = np.zeros((dim, dim))
+    weights = M ** np.arange(N - 1, -1, -1)
+    for perm in itertools.permutations(range(N)):
+        permuted = flat[:, list(perm)] @ weights
+        S[permuted, np.arange(dim)] += 1.0
+    return S / math.factorial(N)
+
+
+def dense_oracle(h: np.ndarray, w: LatticeField, M: int, N: int):
+    """First-quantized H = sum h_i + (1/N) sum_{i<j} w(x_i - x_j) on (C^M)^(x)N,
+    together with the symmetrizer."""
+    flat = _site_indices(M, N)
+    dim = M**N
+    H = np.zeros((dim, dim), dtype=complex)
+    eye = np.eye(M)
+    for i in range(N):
+        ops = [eye] * N
+        ops[i] = h
+        term = ops[0]
+        for op in ops[1:]:
+            term = np.kron(term, op)
+        H += term
+    W = convolution_kernel_matrix(w)
+    diag = np.zeros(dim)
+    for i in range(N):
+        for j in range(i + 1, N):
+            diag += W[flat[:, i], flat[:, j]]
+    H += np.diag(diag) / N
+    return H, symmetrizer(M, N)
+
+
+def occupation_to_tensor_isometry(basis: OccupationBasis) -> np.ndarray:
+    """(M^N, dim) isometry mapping occupation vectors to symmetric tensors."""
+    M, N = basis.sites, basis.particles
+    occ = (_site_indices(M, N)[:, :, None] == np.arange(M)).sum(axis=1)
+    U = np.zeros((M**N, basis.dim))
+    U[np.arange(M**N), basis.rank(occ)] = np.sqrt((1 / _multinomial(occ, N)).astype(float))
+    return U
+
+
+def tensor_sector_projectors(phi: Orbital, N: int) -> list[np.ndarray]:
+    """P_k on the (C^M)^(x)N tensor space: multiply out (p+q)^(x)N and
+    collect the summands with exactly k factors q."""
+    p, q = condensate_projectors(phi)
+    M = phi.grid.sites
+    Pk = [np.zeros((M**N, M**N), dtype=complex) for _ in range(N + 1)]
+    for bits in itertools.product((0, 1), repeat=N):
+        term = np.eye(1, dtype=complex)
+        for b in bits:
+            term = np.kron(term, q if b else p)
+        Pk[sum(bits)] += term
+    return Pk
+
+
+def tensor_hat_f(f: np.ndarray, phi: Orbital, N: int) -> np.ndarray:
+    """f-hat = sum_k f(k) P_k on the tensor space."""
+    Pk = tensor_sector_projectors(phi, N)
+    return sum(f[k] * Pk[k] for k in range(N + 1))
+
+
+def partial_trace_2to1(g2: DensityMatrix) -> DensityMatrix:
+    """Trace out the second particle of a two-particle density matrix."""
+    if g2.k != 2:
+        raise ConfigError("partial_trace_2to1 expects a two-particle density matrix")
+    M = int(round(np.sqrt(g2.mat.shape[0])))
+    t = g2.mat.reshape(M, M, M, M)
+    return DensityMatrix(1, np.einsum("xzyz->xy", t))
+
+
+def seiringer_check(gamma: DensityMatrix, phi: Orbital) -> tuple[float, float]:
+    """(trace norm, 2 * operator norm) of p^(x)k - gamma; the two agree for
+    a rank-one projector against a nonnegative density matrix."""
+    uk = _condensate_vector(phi, gamma.k)
+    diff = np.outer(uk, uk.conj()) - gamma.mat
+    lam = np.linalg.eigvalsh(diff)
+    return float(np.sum(np.abs(lam))), float(2.0 * np.max(np.abs(lam)))
+
+
+def mean_field_sandwich_residual(phi: Orbital, w: LatticeField) -> float:
+    """Max-abs residual of the identity p_2 W_12 p_2 = p_2 W_1^phi on the
+    two-particle mode space."""
+    M = phi.grid.sites
+    u = phi.mode
+    p = np.outer(u, u.conj())
+    p2 = np.kron(np.eye(M), p)
+    W12 = np.diag(convolution_kernel_matrix(w).reshape(-1))
+    wphi = mean_field_potential(w, phi).values.real
+    W1 = np.kron(np.diag(wphi), np.eye(M))
+    return float(np.max(np.abs(p2 @ W12 @ p2 - p2 @ W1)))
+
+
+def bbgky_rhs_k1(
+    g1: DensityMatrix, g2: DensityMatrix, h: np.ndarray, w: LatticeField, N: int
+) -> np.ndarray:
+    """d(gamma1)/dt predicted by the first hierarchy equation:
+    -i ( [h, gamma1] + (N-1)/N tr_2 [W_12, gamma2] )."""
+    M = h.shape[0]
+    Wdiag = convolution_kernel_matrix(w).reshape(-1)
+    comm2 = Wdiag[:, None] * g2.mat - g2.mat * Wdiag[None, :]
+    tr2 = np.einsum("xzyz->xy", comm2.reshape(M, M, M, M))
+    return -1j * ((h @ g1.mat - g1.mat @ h) + (N - 1) / N * tr2)
+
+
+def pair_interaction_expectation(phi: Orbital, w: LatticeField) -> float:
+    """<phi (x) phi, W_12 phi (x) phi> = integral w(x-y) |phi(x)|^2 |phi(y)|^2."""
+    wphi = mean_field_potential(w, phi).values.real
+    return float(phi.grid.spacing * (np.abs(phi.values) ** 2 @ wphi))
+
+
+# ---------------------------------------------------------------------------
+# Invariant suites
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -54,21 +196,10 @@ def _random_orbital(rng, grid: Grid) -> Orbital:
     return Orbital.normalized(grid, vals)
 
 
-def _symmetric_two_particle_projector(M: int) -> np.ndarray:
-    """Projector onto the symmetric subspace of C^M (x) C^M."""
-    swap = np.zeros((M * M, M * M))
-    for x in range(M):
-        for y in range(M):
-            swap[y * M + x, x * M + y] = 1.0
-    return 0.5 * (np.eye(M * M) + swap)
-
-
-def random_symmetric_gamma2(rng, M: int, sym: np.ndarray | None = None) -> DensityMatrix:
-    """Random PSD unit-trace matrix supported on the symmetric two-particle
-    subspace."""
-    if sym is None:
-        sym = _symmetric_two_particle_projector(M)
-    rho = sym @ _random_density(rng, M * M) @ sym
+def random_symmetric_gamma2(rng, sym: np.ndarray) -> DensityMatrix:
+    """Random PSD unit-trace matrix supported on the range of the
+    two-particle symmetrizer `sym`."""
+    rho = sym @ _random_density(rng, sym.shape[0]) @ sym
     return DensityMatrix(2, rho / np.trace(rho).real)
 
 
@@ -76,7 +207,7 @@ def indicators_suite(samples: int = 1000, seed: int = 7) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     grid = Grid(6, 1.0)
     M = grid.sites
-    sym = _symmetric_two_particle_projector(M)
+    sym = symmetrizer(M, 2)
     worst = {"E<=R": 0.0, "R<=sqrt8E": 0.0, "seiringer": 0.0, "E2<=2E1": 0.0}
     for _ in range(samples):
         phi = _random_orbital(rng, grid)
@@ -86,7 +217,7 @@ def indicators_suite(samples: int = 1000, seed: int = 7) -> list[CheckResult]:
         worst["R<=sqrt8E"] = max(worst["R<=sqrt8E"], r - math.sqrt(8 * max(e, 0.0)))
         tn, opn = seiringer_check(g, phi)
         worst["seiringer"] = max(worst["seiringer"], abs(tn - opn))
-        g2 = random_symmetric_gamma2(rng, M, sym)
+        g2 = random_symmetric_gamma2(rng, sym)
         e2, r2 = E_k(g2, phi), R_k(g2, phi)
         worst["E<=R"] = max(worst["E<=R"], e2 - r2)
         worst["R<=sqrt8E"] = max(worst["R<=sqrt8E"], r2 - math.sqrt(8 * max(e2, 0.0)))
@@ -174,8 +305,6 @@ def conservation_suite() -> list[CheckResult]:
 
 
 def bounds_suite() -> list[CheckResult]:
-    from fractions import Fraction
-
     out = [
         CheckResult("bounds", "p0(3)=6/5", float(abs(p0_of(3) - Fraction(6, 5))), 0.0),
         CheckResult(
@@ -211,18 +340,17 @@ def bounds_suite() -> list[CheckResult]:
     return out
 
 
+_RUNNERS = {
+    "indicators": indicators_suite,
+    "fock-oracle": fock_oracle_suite,
+    "conservation": conservation_suite,
+    "bounds": bounds_suite,
+}
+SUITES = (*_RUNNERS, "all")
+
+
 def run_suite(name: str) -> list[CheckResult]:
     if name not in SUITES:
         raise ConfigError(f"unknown check suite {name!r}; choose from {SUITES}")
-    table = {
-        "indicators": indicators_suite,
-        "fock-oracle": fock_oracle_suite,
-        "conservation": conservation_suite,
-        "bounds": bounds_suite,
-    }
-    if name == "all":
-        results = []
-        for fn in table.values():
-            results.extend(fn())
-        return results
-    return table[name]()
+    runners = _RUNNERS.values() if name == "all" else [_RUNNERS[name]]
+    return [row for run in runners for row in run()]

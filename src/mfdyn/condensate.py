@@ -11,7 +11,6 @@ N products each give every w_k as an inner product.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ from .onebody import Orbital, condensate_projectors
 WEIGHT_SUM_TOL = 1e-8
 WEIGHT_NEG_TOL = 1e-7
 CROSS_CHECK_TOL = 1e-6
-MAX_N = 12
+MAX_N = 9
 
 
 @dataclass(frozen=True)
@@ -117,27 +116,3 @@ def alpha_of(wd: WeightDistribution) -> float:
 def beta_of(wd: WeightDistribution) -> float:
     """sum_k sqrt(k/N) w_k; alpha <= beta <= sqrt(alpha)."""
     return float(weight_function_n(wd.n_particles) @ wd.weights)
-
-
-# ---------------------------------------------------------------------------
-# First-quantized sector projectors (tests only)
-# ---------------------------------------------------------------------------
-
-def tensor_sector_projectors(phi: Orbital, N: int) -> list[np.ndarray]:
-    """P_k on the (C^M)^(x)N tensor space: multiply out (p+q)^(x)N and
-    collect the summands with exactly k factors q."""
-    p, q = condensate_projectors(phi)
-    M = phi.grid.sites
-    Pk = [np.zeros((M**N, M**N), dtype=complex) for _ in range(N + 1)]
-    for bits in itertools.product((0, 1), repeat=N):
-        term = np.eye(1, dtype=complex)
-        for b in bits:
-            term = np.kron(term, q if b else p)
-        Pk[sum(bits)] += term
-    return Pk
-
-
-def tensor_hat_f(f: np.ndarray, phi: Orbital, N: int) -> np.ndarray:
-    """f-hat = sum_k f(k) P_k on the tensor space."""
-    Pk = tensor_sector_projectors(phi, N)
-    return sum(f[k] * Pk[k] for k in range(N + 1))

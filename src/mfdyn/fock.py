@@ -1,6 +1,5 @@
-"""Symmetric N-particle subspace: occupation basis, second quantization,
-product states, the mean-field Hamiltonian, and a first-quantized dense
-oracle for tests.
+"""Symmetric N-particle subspace: occupation basis, annihilation maps,
+second quantization, the N-body Hamiltonian H_N, and product states.
 
 Mode amplitudes carry sqrt(dx), so a lattice-normalized orbital and a
 normalized Fock vector are consistent.
@@ -15,11 +14,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError
-from .lattice import Grid, LatticeField, convolution_kernel_matrix
+from .lattice import LatticeField, convolution_kernel_matrix
 from .onebody import Orbital
 
 BASIS_CAP = 200_000
-DENSE_ORACLE_CAP = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,66 +214,3 @@ def _multinomial(states: np.ndarray, N: int) -> np.ndarray:
     """Exact N!/prod(n!) for each occupation row, as Python ints."""
     fact = np.array([math.factorial(k) for k in range(N + 1)], dtype=object)
     return math.factorial(N) // fact[states].prod(axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# First-quantized dense oracle (tests only)
-# ---------------------------------------------------------------------------
-
-def _site_indices(M: int, N: int) -> np.ndarray:
-    """(M^N, N) array: particle coordinates for each tensor basis index."""
-    grids = np.indices((M,) * N).reshape(N, -1).T
-    return grids
-
-
-def symmetrizer(M: int, N: int) -> np.ndarray:
-    """Orthogonal projector onto the symmetric subspace of (C^M)^(x) N."""
-    import itertools
-
-    dim = M**N
-    if dim > DENSE_ORACLE_CAP:
-        raise ConfigError(f"dense oracle size {dim} exceeds cap {DENSE_ORACLE_CAP}")
-    S = np.zeros((dim, dim))
-    flat = _site_indices(M, N)
-    weights = M ** np.arange(N - 1, -1, -1)
-    for perm in itertools.permutations(range(N)):
-        permuted = flat[:, list(perm)] @ weights
-        S[permuted, np.arange(dim)] += 1.0
-    return S / math.factorial(N)
-
-
-def dense_oracle(h: np.ndarray, w: LatticeField, M: int, N: int):
-    """First-quantized H = sum h_i + (1/N) sum_{i<j} w(x_i - x_j) on (C^M)^(x)N,
-    together with the symmetrizer."""
-    dim = M**N
-    if dim > DENSE_ORACLE_CAP:
-        raise ConfigError(f"dense oracle size {dim} exceeds cap {DENSE_ORACLE_CAP}")
-    H = np.zeros((dim, dim), dtype=complex)
-    eye = np.eye(M)
-    for i in range(N):
-        ops = [eye] * N
-        ops[i] = h
-        term = ops[0]
-        for op in ops[1:]:
-            term = np.kron(term, op)
-        H += term
-    W = convolution_kernel_matrix(w)
-    flat = _site_indices(M, N)
-    diag = np.zeros(dim)
-    for i in range(N):
-        for j in range(i + 1, N):
-            diag += W[flat[:, i], flat[:, j]]
-    H += np.diag(diag) / N
-    return H, symmetrizer(M, N)
-
-
-def occupation_to_tensor_isometry(basis: OccupationBasis) -> np.ndarray:
-    """(M^N, dim) isometry mapping occupation vectors to symmetric tensors."""
-    M, N = basis.sites, basis.particles
-    dim = M**N
-    if dim > DENSE_ORACLE_CAP:
-        raise ConfigError(f"dense oracle size {dim} exceeds cap {DENSE_ORACLE_CAP}")
-    occ = (_site_indices(M, N)[:, :, None] == np.arange(M)).sum(axis=1)
-    U = np.zeros((dim, basis.dim))
-    U[np.arange(dim), basis.rank(occ)] = np.sqrt((1 / _multinomial(occ, N)).astype(float))
-    return U

@@ -23,7 +23,7 @@ from .bounds import (
     phi_tilde_integrand,
     wnorm_upper_bound,
 )
-from .condensate import alpha_of, beta_of, occupation_weights
+from .condensate import MAX_N, alpha_of, beta_of, occupation_weights
 from .errors import ConfigError
 from .fock import ManyBodyState, build_HN, enumerate_basis, product_state
 from .lattice import Grid, LatticeField, sample_interaction
@@ -83,6 +83,9 @@ class RunConfig:
             set(self.particles_list)
         ):
             raise ConfigError("particles-list must be strictly increasing")
+        largest = max((self.particles, *self.particles_list))
+        if largest > MAX_N:
+            raise ConfigError(f"N = {largest} is above the sector-weight cap N <= {MAX_N}")
         if not (2 <= self.p1 <= self.p2):
             raise ConfigError(f"need 2 <= p1 <= p2, got p1={self.p1}, p2={self.p2}")
         if not 0 < self.K < math.inf:

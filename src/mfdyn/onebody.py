@@ -56,12 +56,10 @@ class Orbital:
         return LatticeField(self.grid, np.abs(self.values) ** 2)
 
 
-def build_h(grid: Grid, v: LatticeField | None = None, t: float | None = None) -> np.ndarray:
-    """-Laplacian stencil plus a real multiplicative trap v (possibly v(t))."""
+def build_h(grid: Grid, v: LatticeField | None = None) -> np.ndarray:
+    """-Laplacian stencil plus a real multiplicative trap v."""
     h = laplacian_matrix(grid).astype(float)
     if v is not None:
-        if callable(v):
-            v = v(0.0 if t is None else t)
         h = h + np.diag(v.real_values())
     return h
 

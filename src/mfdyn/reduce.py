@@ -11,12 +11,10 @@ import numpy as np
 
 from .errors import ConfigError, NumericalFailure
 from .fock import ManyBodyState, annihilate_all
-from .lattice import LatticeField, convolution_kernel_matrix
-from .onebody import Orbital, mean_field_potential
+from .onebody import Orbital
 
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
-PSD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -37,14 +35,6 @@ class DensityMatrix:
         if abs(np.trace(m).real - 1.0) > TRACE_TOL:
             raise NumericalFailure(f"density matrix trace {np.trace(m)} is not 1")
         object.__setattr__(self, "mat", m)
-
-    def eigenvalues(self) -> np.ndarray:
-        lam = np.linalg.eigvalsh(self.mat)
-        if lam.min() < -PSD_TOL:
-            raise NumericalFailure(
-                f"density matrix has eigenvalue {lam.min()}, below the PSD tolerance"
-            )
-        return np.clip(lam, 0.0, None)
 
 
 def gamma1(psi: ManyBodyState) -> DensityMatrix:
@@ -68,15 +58,6 @@ def gamma2(psi: ManyBodyState) -> DensityMatrix:
     return DensityMatrix(2, (B @ B.conj().T) / (N * (N - 1)))
 
 
-def partial_trace_2to1(g2: DensityMatrix) -> DensityMatrix:
-    """Trace out the second particle of a two-particle density matrix."""
-    if g2.k != 2:
-        raise ConfigError("partial_trace_2to1 expects a two-particle density matrix")
-    M = int(round(np.sqrt(g2.mat.shape[0])))
-    t = g2.mat.reshape(M, M, M, M)
-    return DensityMatrix(1, np.einsum("xzyz->xy", t))
-
-
 def _condensate_vector(phi: Orbital, k: int) -> np.ndarray:
     u = phi.mode
     return u if k == 1 else np.kron(u, u)
@@ -97,37 +78,3 @@ def R_k(gamma: DensityMatrix, phi: Orbital) -> float:
         raise ConfigError("orbital dimension does not match the density matrix")
     diff = gamma.mat - np.outer(uk, uk.conj())
     return float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
-
-
-def seiringer_check(gamma: DensityMatrix, phi: Orbital) -> tuple[float, float]:
-    """(trace norm, 2 * operator norm) of p^(x)k - gamma; the two agree for
-    a rank-one projector against a nonnegative density matrix."""
-    uk = _condensate_vector(phi, gamma.k)
-    diff = np.outer(uk, uk.conj()) - gamma.mat
-    lam = np.linalg.eigvalsh(diff)
-    return float(np.sum(np.abs(lam))), float(2.0 * np.max(np.abs(lam)))
-
-
-def mean_field_sandwich_residual(phi: Orbital, w: LatticeField) -> float:
-    """Max-abs residual of the identity p_2 W_12 p_2 = p_2 W_1^phi on the
-    two-particle mode space."""
-    M = phi.grid.sites
-    u = phi.mode
-    p = np.outer(u, u.conj())
-    p2 = np.kron(np.eye(M), p)
-    W12 = np.diag(convolution_kernel_matrix(w).reshape(-1))
-    wphi = mean_field_potential(w, phi).values.real
-    W1 = np.kron(np.diag(wphi), np.eye(M))
-    return float(np.max(np.abs(p2 @ W12 @ p2 - p2 @ W1)))
-
-
-def bbgky_rhs_k1(
-    g1: DensityMatrix, g2: DensityMatrix, h: np.ndarray, w: LatticeField, N: int
-) -> np.ndarray:
-    """d(gamma1)/dt predicted by the first hierarchy equation:
-    -i ( [h, gamma1] + (N-1)/N tr_2 [W_12, gamma2] )."""
-    M = h.shape[0]
-    Wdiag = convolution_kernel_matrix(w).reshape(-1)
-    comm2 = Wdiag[:, None] * g2.mat - g2.mat * Wdiag[None, :]
-    tr2 = np.einsum("xzyz->xy", comm2.reshape(M, M, M, M))
-    return -1j * ((h @ g1.mat - g1.mat @ h) + (N - 1) / N * tr2)

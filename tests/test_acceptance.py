@@ -29,16 +29,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mfdyn.bounds import eta_of, p0_of, pair_interaction_expectation
-from mfdyn.checks import conservation_suite, indicators_suite
-from mfdyn.fock import (
-    ManyBodyState,
-    build_HN,
+from mfdyn.bounds import eta_of, p0_of
+from mfdyn.checks import (
+    bbgky_rhs_k1,
+    conservation_suite,
     dense_oracle,
-    enumerate_basis,
+    indicators_suite,
     occupation_to_tensor_isometry,
-    product_state,
+    pair_interaction_expectation,
 )
+from mfdyn.fock import ManyBodyState, build_HN, enumerate_basis, product_state
 from mfdyn.harness import (
     initial_orbital,
     interaction_field,
@@ -51,14 +51,7 @@ from mfdyn.lattice import Grid, LatticeField, lp_norm, sample_interaction
 from mfdyn.onebody import Orbital, build_h, gaussian_orbital
 from mfdyn.condensate import occupation_weights
 from mfdyn.propagate import NBodyStepper, PropagatorConfig
-from mfdyn.reduce import (
-    DensityMatrix,
-    E_k,
-    R_k,
-    bbgky_rhs_k1,
-    gamma1,
-    gamma2,
-)
+from mfdyn.reduce import DensityMatrix, E_k, R_k, gamma1, gamma2
 
 
 def report(name: str, ok: bool, detail: str = "") -> bool:

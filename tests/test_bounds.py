@@ -15,13 +15,13 @@ from mfdyn.bounds import (
     fitted_K,
     gronwall_alpha_bound,
     p0_of,
-    pair_interaction_expectation,
     phi_envelope_integral,
     phi_tilde_integral,
     phi_tilde_integrand,
     sobolev_sup_norm,
     wnorm_upper_bound,
 )
+from mfdyn.checks import pair_interaction_expectation
 from mfdyn.errors import ConfigError
 from mfdyn.fock import build_HN, enumerate_basis, product_state
 from mfdyn.lattice import Grid, LatticeField, lp_norm, sample_interaction

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfdyn.condensate as condensate
+from mfdyn.checks import occupation_to_tensor_isometry, tensor_hat_f, tensor_sector_projectors
 from mfdyn.condensate import (
     MAX_N,
     WeightDistribution,
@@ -12,8 +13,6 @@ from mfdyn.condensate import (
     lagrange_weights,
     moment_weights,
     occupation_weights,
-    tensor_hat_f,
-    tensor_sector_projectors,
     weight_function_m,
     weight_function_n,
 )
@@ -21,7 +20,6 @@ from mfdyn.errors import ConfigError, NumericalFailure
 from mfdyn.fock import (
     ManyBodyState,
     enumerate_basis,
-    occupation_to_tensor_isometry,
     product_state,
     second_quantize_onebody,
 )
@@ -147,6 +145,15 @@ def test_weights_capped_at_max_n(rng):
     psi = random_state(rng, 2, MAX_N + 1)
     with pytest.raises(ConfigError):
         occupation_weights(psi, phi)
+
+
+@pytest.mark.parametrize("M", [2, 3, 4])
+def test_weights_hold_at_max_n(rng, M):
+    # the cap is where the moment solve still passes the Lagrange cross-check
+    for _ in range(10):
+        phi = random_orbital(rng, Grid(M, 1.0))
+        wd = occupation_weights(random_state(rng, M, MAX_N), phi)
+        assert wd.n_particles == MAX_N
 
 
 def test_tensor_sector_projectors_resolution(rng):

@@ -6,18 +6,16 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfdyn.checks import dense_oracle, occupation_to_tensor_isometry, symmetrizer
 from mfdyn.errors import ConfigError
 from mfdyn.fock import (
     ManyBodyState,
     annihilate_all,
     build_HN,
-    dense_oracle,
     enumerate_basis,
     interaction_diagonal,
-    occupation_to_tensor_isometry,
     product_state,
     second_quantize_onebody,
-    symmetrizer,
 )
 from mfdyn.lattice import Grid, LatticeField, sample_interaction
 from mfdyn.onebody import Orbital, build_h, condensate_projectors

@@ -278,6 +278,9 @@ def test_cli_sweep_reports_fit(tmp_path, capsys):
         ["simulate", "--config", "{bad_cfg}"],
         ["eta-curve", "--p-grid", "abc"],
         ["eta-curve", "--dim", "abc", "--p-grid", "3/2"],
+        ["simulate", "--sites", "2", "--particles", "10", "--tfinal", "0.01", "--dt", "0.005"],
+        ["sweep", "--sites", "2", "--particles-list", "2,3,10", "--tfinal", "0.01",
+         "--dt", "0.005"],
     ],
 )
 def test_cli_malformed_input_exits_1(argv, tmp_path, capsys):
@@ -339,3 +342,44 @@ def test_module_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "PASS bounds/" in proc.stdout
+
+
+MOVED_TO_CHECKS = {
+    "fock": (
+        "DENSE_ORACLE_CAP",
+        "_site_indices",
+        "symmetrizer",
+        "dense_oracle",
+        "occupation_to_tensor_isometry",
+    ),
+    "condensate": ("tensor_sector_projectors", "tensor_hat_f"),
+    "reduce": (
+        "partial_trace_2to1",
+        "seiringer_check",
+        "mean_field_sandwich_residual",
+        "bbgky_rhs_k1",
+    ),
+    "bounds": ("pair_interaction_expectation",),
+}
+
+
+def test_run_path_leaves_out_the_reference():
+    # a fresh interpreter: this process has long imported mfdyn.checks
+    from mfdyn import checks
+
+    for names in MOVED_TO_CHECKS.values():
+        assert all(hasattr(checks, name) for name in names)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    script = (
+        "import sys, mfdyn.harness\n"
+        "assert 'mfdyn.checks' not in sys.modules, 'mfdyn.checks imported'\n"
+        f"for mod, names in {MOVED_TO_CHECKS!r}.items():\n"
+        "    left = [n for n in names if hasattr(sys.modules['mfdyn.' + mod], n)]\n"
+        "    assert not left, f'mfdyn.{mod} still defines {left}'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfdyn.errors import ConfigError
-from mfdyn.lattice import Grid, LatticeField, sample_interaction
+from mfdyn.lattice import Grid, sample_interaction
 from mfdyn.onebody import (
     HartreeStepper,
     Orbital,
@@ -41,15 +41,6 @@ def test_build_h_hermitian_and_potential(grid8):
     vals = v.values.real
     assert vals[grid8.sites // 2] == pytest.approx(0.0)
     assert vals[1] == pytest.approx(vals[-1])
-
-
-def test_time_dependent_potential_hook(grid6):
-    def v(t):
-        return LatticeField(grid6, t * np.ones(6))
-
-    h0 = build_h(grid6, v)  # defaults to t = 0
-    h1 = build_h(grid6, v, t=1.0)
-    assert np.allclose(h1 - h0, np.eye(6))
 
 
 def test_ground_state_is_lowest_eigenpair(grid8):
