@@ -73,6 +73,8 @@ def _emit(csv_text: str, out: str) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = config_from_args(args)
+    if cfg.particles_list:
+        raise ConfigError("--particles-list belongs to `mfdyn sweep`; simulate runs one N")
     result = run_simulation(cfg)
     _emit(records_csv(result.records), cfg.out)
     print(f"# fitted-K = {result.fitted_K()!r}", file=sys.stderr)
@@ -121,8 +123,13 @@ def cmd_check(args) -> int:
     return 0 if all(r.passed for r in results) else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1, not argparse's 2 (numerical failure)
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="mfdyn",
         description="Exact N-boson vs Hartree dynamics on a periodic 1-D lattice",
     )
@@ -151,8 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,8 +38,6 @@ from .onebody import (
 from .propagate import NBodyStepper, PropagatorConfig
 from .reduce import E_k, R_k, gamma1, gamma2
 
-CSV_HEADER = "t,N,M,alpha,beta,E1,E2,R1,R2,EPsi,Ephi,phi_t,alpha_bound,beta_bound,slack_alpha"
-
 # Spec strings 'kind:a,b': {kind: parameter names}.
 POTENTIALS = {"none": (), "harmonic": ("omega",)}
 INTERACTIONS = {
@@ -47,7 +45,7 @@ INTERACTIONS = {
     "gaussian": ("lam", "sigma"),
     "softcoulomb": ("lam", "eps"),
     "invsquare": ("lam",),
-    "random": (),
+    "random": ("seed",),
 }
 INITIALS = {"gaussian": ("x0", "sigma"), "groundstate": ()}
 
@@ -71,7 +69,6 @@ class RunConfig:
     K: float = 1.0
     method: str = "krylov"
     out: str = ""
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("sites", "particles", "dx", "tfinal", "dt", "stride"):
@@ -182,8 +179,6 @@ def potential_field(cfg: RunConfig, grid: Grid):
 
 def interaction_field(cfg: RunConfig, grid: Grid) -> LatticeField:
     name, params = _parse_spec(cfg.interaction, INTERACTIONS, "interaction")
-    if name == "random":
-        return sample_interaction(grid, "random", seed=cfg.seed)
     return sample_interaction(grid, name, **params)
 
 
@@ -221,24 +216,30 @@ class TimeRecord:
         return ",".join(vals)
 
 
+CSV_HEADER = ",".join(f.name for f in fields(TimeRecord))
+
+
 @dataclass
 class RunResult:
     config: RunConfig
     records: list
-    phi_tildes: np.ndarray
-    beta0: float
-    gap: float
+    side: HartreeSide
 
     @property
     def times(self) -> np.ndarray:
         return np.array([r.t for r in self.records])
 
+    @property
+    def gap(self) -> float:
+        """E^Psi(0) - E^phi(0)."""
+        return self.records[0].EPsi - self.records[0].Ephi
+
     def fitted_K(self) -> float:
         return fitted_K(
             self.times,
             np.array([r.beta for r in self.records]),
-            self.phi_tildes,
-            self.beta0,
+            np.array(self.side.phi_tildes),
+            self.records[0].beta,
             self.gap,
             self.config.particles,
             float(self.config.eta),
@@ -253,36 +254,43 @@ def default_cutoffs(w: LatticeField) -> list[float]:
 
 @dataclass(frozen=True)
 class HartreeSide:
-    """The part of a run that does not depend on N: the one-body
-    Hamiltonian, the interaction, the Hartree orbital at every step
-    (`orbitals[0]` is phi_0), the time grid, the bound on ||w|| and the
-    integrands of the alpha and beta envelopes."""
+    """The part of a run that does not depend on N, at its record steps
+    `0, stride, ..., steps`: the one-body Hamiltonian, the interaction,
+    the Hartree orbital (`orbitals[0]` is phi_0), and the exponents
+    phi(t) of the alpha envelope and phi~(t) of the beta envelope."""
 
     h: np.ndarray
     w: LatticeField
+    record_steps: list
     orbitals: list
-    times: np.ndarray
-    w_bound: float
-    env_integrand: np.ndarray
-    ptil_integrand: np.ndarray
+    phi_ts: list
+    phi_tildes: list
 
 
 def hartree_side(cfg: RunConfig) -> HartreeSide:
-    """Build the lattice problem of `cfg` and solve its Hartree flow."""
+    """Build the lattice problem of `cfg`, solve its Hartree flow and
+    integrate both envelope exponents up to every record step."""
     grid = Grid(cfg.sites, cfg.dx)
     v = potential_field(cfg, grid)
     w = interaction_field(cfg, grid)
     h = build_h(grid, v)
     steps = cfg.steps
     orbitals = evolve_hartree(grid, v, w, initial_orbital(cfg, grid, h), cfg.dt, steps)
+    times = cfg.dt * np.arange(steps + 1)
+    w_bound = wnorm_upper_bound(w, cfg.p1, cfg.p2, default_cutoffs(w))
+    env = envelope_integrand(orbitals, conjugate_q(cfg.p1), conjugate_q(cfg.p2))
+    ptil = phi_tilde_integrand(orbitals, h)
+    record_steps = [*range(0, steps, cfg.stride), steps]
     return HartreeSide(
         h=h,
         w=w,
-        orbitals=orbitals,
-        times=cfg.dt * np.arange(steps + 1),
-        w_bound=wnorm_upper_bound(w, cfg.p1, cfg.p2, default_cutoffs(w)),
-        env_integrand=envelope_integrand(orbitals, conjugate_q(cfg.p1), conjugate_q(cfg.p2)),
-        ptil_integrand=phi_tilde_integrand(orbitals, h),
+        record_steps=record_steps,
+        orbitals=[orbitals[k] for k in record_steps],
+        phi_ts=[
+            phi_envelope_integral(env[: k + 1], times[: k + 1], w_bound)
+            for k in record_steps
+        ],
+        phi_tildes=[phi_tilde_integral(ptil[: k + 1], times[: k + 1]) for k in record_steps],
     )
 
 
@@ -296,69 +304,56 @@ def run_simulation(cfg: RunConfig, side: HartreeSide | None = None) -> RunResult
     basis = enumerate_basis(cfg.sites, N)
     if side is None:
         side = hartree_side(cfg)
-    h, w, orbitals, times = side.h, side.w, side.orbitals, side.times
+    h, w = side.h, side.w
     H = build_HN(h, w, basis)
-    steps = cfg.steps
     eta = float(cfg.eta)
 
     pcfg = PropagatorConfig(
         dt=cfg.dt,
-        steps=steps,
+        steps=cfg.steps,
         method=cfg.method,
         krylov_tol=1e-12,
     )
     stepper = NBodyStepper(H, pcfg)
 
-    record_steps = sorted(set(list(range(0, steps + 1, cfg.stride)) + [steps]))
-    psi = product_state(orbitals[0], basis)
+    amps = product_state(side.orbitals[0], basis).amps
     records: list[TimeRecord] = []
-    phi_tildes: list[float] = []
-    alpha0 = beta0 = gap = 0.0
-
-    amps = psi.amps
-    next_idx = 0
-    for k in range(steps + 1):
-        if k == record_steps[next_idx]:
-            t = k * cfg.dt
-            state = ManyBodyState(basis, amps)
-            phi_t = orbitals[k]
-            g1 = gamma1(state)
-            e1 = E_k(g1, phi_t)
-            r1 = R_k(g1, phi_t)
-            if N >= 2:
-                g2 = gamma2(state)
-                e2 = E_k(g2, phi_t)
-                r2 = R_k(g2, phi_t)
-            else:
-                e2 = r2 = 0.0
-            wd = occupation_weights(state, phi_t)
-            alpha = alpha_of(wd)
-            beta = beta_of(wd)
-            e_psi, e_phi = energies(state, H, phi_t, h, w)
-            if k == 0:
-                alpha0, beta0, gap = alpha, beta, e_psi - e_phi
-            phi_env = phi_envelope_integral(
-                side.env_integrand[: k + 1], times[: k + 1], side.w_bound
+    k_prev = 0
+    for k, phi_t, phi_env, ptil in zip(
+        side.record_steps, side.orbitals, side.phi_ts, side.phi_tildes
+    ):
+        for _ in range(k - k_prev):
+            amps = stepper.step(amps)
+        k_prev = k
+        state = ManyBodyState(basis, amps)
+        g1 = gamma1(state)
+        e1 = E_k(g1, phi_t)
+        r1 = R_k(g1, phi_t)
+        if N >= 2:
+            g2 = gamma2(state)
+            e2 = E_k(g2, phi_t)
+            r2 = R_k(g2, phi_t)
+        else:
+            e2 = r2 = 0.0
+        wd = occupation_weights(state, phi_t)
+        alpha = alpha_of(wd)
+        beta = beta_of(wd)
+        e_psi, e_phi = energies(state, H, phi_t, h, w)
+        if k == 0:
+            alpha0, beta0, gap = alpha, beta, e_psi - e_phi
+        a_bound = gronwall_alpha_bound(alpha0, N, phi_env)
+        b_bound = beta_bound_envelope(beta0, gap, N, eta, cfg.K, ptil)
+        records.append(
+            TimeRecord(
+                t=k * cfg.dt, N=N, M=cfg.sites,
+                alpha=alpha, beta=beta,
+                E1=e1, E2=e2, R1=r1, R2=r2,
+                EPsi=e_psi, Ephi=e_phi,
+                phi_t=phi_env, alpha_bound=a_bound,
+                beta_bound=b_bound, slack_alpha=a_bound - alpha,
             )
-            a_bound = gronwall_alpha_bound(alpha0, N, phi_env)
-            ptil = phi_tilde_integral(side.ptil_integrand[: k + 1], times[: k + 1])
-            b_bound = beta_bound_envelope(beta0, gap, N, eta, cfg.K, ptil)
-            records.append(
-                TimeRecord(
-                    t=t, N=N, M=cfg.sites,
-                    alpha=alpha, beta=beta,
-                    E1=e1, E2=e2, R1=r1, R2=r2,
-                    EPsi=e_psi, Ephi=e_phi,
-                    phi_t=phi_env, alpha_bound=a_bound,
-                    beta_bound=b_bound, slack_alpha=a_bound - alpha,
-                )
-            )
-            phi_tildes.append(ptil)
-            next_idx += 1
-            if next_idx == len(record_steps):
-                break
-        amps = stepper.step(amps)
-    return RunResult(cfg, records, np.array(phi_tildes), beta0, gap)
+        )
+    return RunResult(cfg, records, side)
 
 
 @dataclass
@@ -374,8 +369,9 @@ class SweepResult:
 
 
 def sweep_N(cfg: RunConfig) -> SweepResult:
-    """Run each N in turn on one shared Hartree side, merge records by
-    (N, t), fit log-log slopes of the final-time indicators against N."""
+    """Run each N in turn on one shared Hartree side, concatenate the
+    records in (N, t) order, fit log-log slopes of the final-time
+    indicators against N."""
     Ns = list(cfg.particles_list)
     if len(Ns) < 3:
         raise ConfigError("a sweep needs at least 3 values of N")
@@ -385,7 +381,6 @@ def sweep_N(cfg: RunConfig) -> SweepResult:
     }
 
     records = [r for N in Ns for r in runs[N].records]
-    records.sort(key=lambda r: (r.N, r.t))
 
     e_final = np.array([runs[N].records[-1].E1 for N in Ns])
     r_final = np.array([runs[N].records[-1].R1 for N in Ns])

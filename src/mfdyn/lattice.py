@@ -11,8 +11,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-NORM_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -57,10 +55,6 @@ class LatticeField:
         if not np.all(np.isfinite(vals)):
             raise ConfigError("field has nonfinite entries")
         object.__setattr__(self, "values", vals)
-
-    @property
-    def is_normalized(self) -> bool:
-        return abs(self.grid.spacing * np.sum(np.abs(self.values) ** 2) - 1.0) < NORM_TOL
 
     def real_values(self) -> np.ndarray:
         if np.max(np.abs(self.values.imag)) > 1e-14:
@@ -125,7 +119,7 @@ def sample_interaction(grid: Grid, kind: str, **params) -> LatticeField:
       gaussian: lam, sigma         lam * exp(-d^2 / (2 sigma^2))
       softcoulomb: lam, eps        lam / sqrt(d^2 + eps^2)
       invsquare: lam               lam / d^2, with w(0) = lam / dx^2
-      random: seed                 bounded even noise in [-1, 1]
+      random: seed                 bounded even noise in [-1, 1]; seed an integer >= 0
 
     Singular kinds are regularized at the origin by the explicit w(0) rule
     above; d is the minimal-image distance.
@@ -152,8 +146,10 @@ def sample_interaction(grid: Grid, kind: str, **params) -> LatticeField:
         vals[0] = lam / grid.spacing**2
         vals[1:] = lam / d[1:] ** 2
     elif kind == "random":
-        seed = int(params.pop("seed"))
-        rng = np.random.default_rng(seed)
+        seed = params.pop("seed")
+        if not (float(seed).is_integer() and seed >= 0):
+            raise ConfigError(f"random interaction needs an integer seed >= 0, got {seed}")
+        rng = np.random.default_rng(int(seed))
         raw = rng.uniform(-1.0, 1.0, grid.sites)
         # symmetrize to make w even under x -> L - x
         vals = 0.5 * (raw + raw[(-np.arange(grid.sites)) % grid.sites])

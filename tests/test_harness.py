@@ -1,5 +1,6 @@
 import math
 import os
+import runpy
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -8,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mfdyn import harness
+from mfdyn import condensate, harness
 from mfdyn.bounds import conjugate_q, wnorm_upper_bound
 from mfdyn.cli import build_parser, config_from_args, main
 from mfdyn.errors import ConfigError
@@ -29,7 +30,7 @@ from mfdyn.harness import (
     run_simulation,
     sweep_N,
 )
-from mfdyn.lattice import Grid, lp_norm
+from mfdyn.lattice import Grid, lp_norm, sample_interaction
 from mfdyn.onebody import build_h, evolve_hartree, hartree_energy
 
 
@@ -102,7 +103,7 @@ def test_run_simulation_record_grid():
 
 
 def test_records_use_hartree_orbital_of_their_step():
-    cfg = make_config(**FAST, p1=4.0)  # q1 = 4, q2 = 2
+    cfg = make_config(**{**FAST, "stride": 4}, p1=4.0)  # q1 = 4, q2 = 2
     grid = Grid(cfg.sites, cfg.dx)
     v = potential_field(cfg, grid)
     w = interaction_field(cfg, grid)
@@ -114,8 +115,13 @@ def test_records_use_hartree_orbital_of_their_step():
         [lp_norm(o.field(), conjugate_q(cfg.p1)) + lp_norm(o.field(), conjugate_q(cfg.p2))
          for o in orbitals]
     )
+    side = harness.hartree_side(cfg)
+    assert side.record_steps == [0, 4, 8, 10]  # the last step is a record step
+    assert len(side.orbitals) == len(side.record_steps)
+    for k, orb in zip(side.record_steps, side.orbitals):
+        assert np.array_equal(orb.values, orbitals[k].values)
     res = run_simulation(cfg)
-    assert len(res.records) == cfg.steps // cfg.stride + 1
+    assert [round(r.t / cfg.dt) for r in res.records] == side.record_steps
     for r in res.records:
         k = round(r.t / cfg.dt)
         assert r.Ephi == hartree_energy(orbitals[k], h, w)
@@ -153,15 +159,6 @@ def test_sweep_merging_and_order():
     assert res.degenerate or (res.e_slope is not None and res.r_slope is not None)
 
 
-def test_sweep_concurrency_matches_serial():
-    cfg = make_config(**FAST, particles_list=(2, 3, 4))
-    res = sweep_N(cfg)
-    from dataclasses import replace
-
-    serial = run_simulation(replace(cfg, particles=3, particles_list=()))
-    assert records_csv(res.runs[3].records) == records_csv(serial.records)
-
-
 def test_sweep_solves_hartree_once_and_matches_single_runs(monkeypatch):
     cfg = make_config(**FAST, particles_list=(2, 3, 4))
     calls = []
@@ -178,6 +175,32 @@ def test_sweep_solves_hartree_once_and_matches_single_runs(monkeypatch):
         single = run_simulation(replace(cfg, particles=N, particles_list=()))
         assert records_csv(res.runs[N].records) == records_csv(single.records)
     assert len(calls) == 1 + len(cfg.particles_list)
+
+
+def test_sweep_integrates_each_envelope_once_per_record_step(monkeypatch):
+    cfg = make_config(**FAST, particles_list=(2, 3, 4))
+    calls = {"phi_envelope_integral": 0, "phi_tilde_integral": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _fn=getattr(harness, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counted)
+    res = sweep_N(cfg)
+    records_per_N = cfg.steps // cfg.stride + 1
+    assert len(res.records) == len(cfg.particles_list) * records_per_N
+    assert calls == dict.fromkeys(calls, records_per_N)
+
+
+def test_random_interaction_takes_its_seed_in_the_spec():
+    grid = Grid(6, 1.0)
+    for seed in (3, 4):
+        cfg = config_from_args(
+            build_parser().parse_args(["simulate", "--interaction", f"random:{seed}"])
+        )
+        want = sample_interaction(grid, "random", seed=seed)
+        assert np.array_equal(interaction_field(cfg, grid).values, want.values)
 
 
 def test_eta_curve_rows_and_skips():
@@ -281,6 +304,9 @@ def test_cli_sweep_reports_fit(tmp_path, capsys):
         ["simulate", "--sites", "2", "--particles", "10", "--tfinal", "0.01", "--dt", "0.005"],
         ["sweep", "--sites", "2", "--particles-list", "2,3,10", "--tfinal", "0.01",
          "--dt", "0.005"],
+        ["simulate", "--sites", "4", "--particles", "2", "--particles-list", "2,3,4"],
+        ["simulate", "--interaction", "random:2.5"],
+        ["simulate", "--seed", "3"],
     ],
 )
 def test_cli_malformed_input_exits_1(argv, tmp_path, capsys):
@@ -383,3 +409,22 @@ def test_run_path_leaves_out_the_reference():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# What perfbench/child.py builds its set-up from, besides the traced calls.
+BENCHMARK_SETUP_NAMES = (
+    "make_config", "Grid", "potential_field", "interaction_field", "build_h",
+    "initial_orbital", "PropagatorConfig", "enumerate_basis", "build_HN",
+    "product_state", "NBodyStepper", "records_csv",
+)
+
+
+def test_benchmark_entry_points_exist():
+    # run_path compiles the tracer from source and leaves perfbench/ untouched
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    tracer = runpy.run_path(os.path.join(root, "perfbench", "tracer.py"))
+    traced = [attr for attr, _ in tracer["HARNESS_CALLS"]]
+    assert [n for n in (*traced, *BENCHMARK_SETUP_NAMES) if not hasattr(harness, n)] == []
+    assert callable(harness.NBodyStepper.step)
+    assert callable(condensate.second_quantize_onebody)
+    harness.PropagatorConfig(dt=1e-3, steps=10, method="krylov", krylov_tol=1e-12)

@@ -42,7 +42,7 @@ def test_field_validation(grid6):
     with pytest.raises(ConfigError):
         LatticeField(grid6, np.array([np.nan] + [0.0] * 5))
     f = LatticeField(grid6, np.full(6, 1.0 / np.sqrt(6)))
-    assert f.is_normalized
+    assert abs(grid6.spacing * np.sum(np.abs(f.values) ** 2) - 1.0) < 1e-12
     with pytest.raises(ConfigError):
         LatticeField(grid6, 1j * np.ones(6)).real_values()
 
@@ -167,3 +167,6 @@ def test_sample_interaction_errors(grid8):
         sample_interaction(grid8, "nosuch", lam=1.0)
     with pytest.raises(ConfigError):
         sample_interaction(grid8, "constant", c=1.0, extra=2.0)
+    for seed in (2.5, -1):
+        with pytest.raises(ConfigError):
+            sample_interaction(grid8, "random", seed=seed)

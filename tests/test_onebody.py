@@ -25,7 +25,7 @@ def test_orbital_normalization(grid6):
     with pytest.raises(ConfigError):
         Orbital(grid6, np.ones(6))  # |phi|^2 integrates to 6, not 1
     phi = Orbital.normalized(grid6, np.ones(6))
-    assert phi.field().is_normalized
+    assert abs(grid6.spacing * np.sum(np.abs(phi.values) ** 2) - 1.0) < 1e-12
     assert np.linalg.norm(phi.mode) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ConfigError):
         Orbital.normalized(grid6, np.zeros(6))
@@ -56,7 +56,7 @@ def test_ground_state_is_lowest_eigenpair(grid8):
 
 def test_gaussian_orbital_peak_and_norm(grid8):
     phi = gaussian_orbital(grid8, x0=2.0, sigma=0.5)
-    assert phi.field().is_normalized
+    assert abs(grid8.spacing * np.sum(np.abs(phi.values) ** 2) - 1.0) < 1e-12
     assert int(np.argmax(np.abs(phi.values))) == int(round(2.0 / grid8.spacing))
     with pytest.raises(ConfigError):
         gaussian_orbital(grid8, x0=0.0, sigma=0.0)
@@ -102,9 +102,7 @@ def test_hartree_mass_conservation(grid6, gaussian_w):
     phi0 = gaussian_orbital(grid6, x0=3.0, sigma=0.7)
     orbitals = evolve_hartree(grid6, None, gaussian_w, phi0, dt=1e-3, steps=500)
     for orb in orbitals[::50]:
-        assert orb.field().is_normalized or abs(
-            grid6.spacing * np.sum(np.abs(orb.values) ** 2) - 1
-        ) < 1e-10
+        assert abs(grid6.spacing * np.sum(np.abs(orb.values) ** 2) - 1.0) < 1e-10
 
 
 def test_hartree_energy_drift_second_order(grid6, gaussian_w):
