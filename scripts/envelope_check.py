@@ -5,6 +5,7 @@ Hartree orbital, then print how much room the closed-form alpha envelope
 
 Takes the run flags of `mfdyn simulate` (with `--stride` defaulting to 100)
 except `--particles-list`; `--out run.csv` also writes the run's CSV records.
+Exit codes: 0 envelope held, 1 envelope violated, 2 invalid configuration.
 
 Usage:
     python scripts/envelope_check.py [--particles 4] [--interaction gaussian:1,1]
@@ -24,11 +25,9 @@ def main() -> int:
     args = ap.parse_args()
     try:
         cfg = config_from_args(args)
+        result = run_simulation(cfg)
     except ConfigError as exc:
         ap.error(str(exc))
-    if cfg.particles_list:
-        ap.error("--particles-list belongs to `mfdyn sweep`; this script runs one N")
-    result = run_simulation(cfg)
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(records_csv(result.records))

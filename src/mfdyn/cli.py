@@ -26,6 +26,7 @@ from .harness import (
     run_simulation,
     sweep_N,
 )
+from .propagate import METHODS
 
 
 def _spec_help(kinds: dict) -> str:
@@ -41,7 +42,7 @@ _HELP = {
     "interaction": _spec_help(INTERACTIONS),
     "initial": _spec_help(INITIALS),
     "p": "exponent for eta, e.g. 3/2 or 1.5",
-    "method": "krylov | dense",
+    "method": " | ".join(METHODS),
 }
 
 
@@ -73,8 +74,6 @@ def _emit(csv_text: str, out: str) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = config_from_args(args)
-    if cfg.particles_list:
-        raise ConfigError("--particles-list belongs to `mfdyn sweep`; simulate runs one N")
     result = run_simulation(cfg)
     _emit(records_csv(result.records), cfg.out)
     print(f"# fitted-K = {result.fitted_K()!r}", file=sys.stderr)
@@ -83,8 +82,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = config_from_args(args)
-    if not cfg.particles_list:
-        raise ConfigError("sweep requires --particles-list")
     result = sweep_N(cfg)
     _emit(records_csv(result.records), cfg.out)
     if result.degenerate:

@@ -35,7 +35,7 @@ from .onebody import (
     ground_state,
     harmonic_potential,
 )
-from .propagate import NBodyStepper, PropagatorConfig
+from .propagate import METHODS, NBodyStepper, PropagatorConfig
 from .reduce import E_k, R_k, gamma1, gamma2
 
 # Spec strings 'kind:a,b': {kind: parameter names}.
@@ -67,7 +67,7 @@ class RunConfig:
     p: str = "3/2"
     dim: int = 3
     K: float = 1.0
-    method: str = "krylov"
+    method: str = METHODS[0]
     out: str = ""
 
     def __post_init__(self):
@@ -80,7 +80,7 @@ class RunConfig:
             set(self.particles_list)
         ):
             raise ConfigError("particles-list must be strictly increasing")
-        largest = max((self.particles, *self.particles_list))
+        largest = max(self.particles_list or (self.particles,))
         if largest > MAX_N:
             raise ConfigError(f"N = {largest} is above the sector-weight cap N <= {MAX_N}")
         if not (2 <= self.p1 <= self.p2):
@@ -92,7 +92,7 @@ class RunConfig:
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"p: {exc}") from None
         eta_of(p, self.dim)  # validates p against (p0, 2]
-        if self.method not in ("krylov", "dense"):
+        if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
         _parse_spec(self.potential, POTENTIALS, "potential")
         _parse_spec(self.interaction, INTERACTIONS, "interaction")
@@ -167,6 +167,8 @@ def _parse_spec(spec: str, kinds: dict, what: str):
         values = [float(s) for s in parts]
     except ValueError as exc:
         raise ConfigError(f"{what} {name!r}: {exc}") from None
+    if not all(math.isfinite(x) for x in values):
+        raise ConfigError(f"{what} {name!r} takes finite parameters, got {parts}")
     return name, dict(zip(names, values))
 
 
@@ -295,11 +297,13 @@ def hartree_side(cfg: RunConfig) -> HartreeSide:
 
 
 def run_simulation(cfg: RunConfig, side: HartreeSide | None = None) -> RunResult:
-    """Co-evolve Psi (exact) and phi (Hartree); one record per stride.
+    """Co-evolve Psi (exact) and phi (Hartree) for one N; one record per stride.
 
     `side` is `hartree_side(c)` of a config `c` that differs from `cfg` at
-    most in `particles`; it is computed here when not given.
+    most in its N values; it is computed here when not given.
     """
+    if cfg.particles_list:
+        raise ConfigError("--particles-list belongs to `mfdyn sweep`; a run takes one N")
     N = cfg.particles
     basis = enumerate_basis(cfg.sites, N)
     if side is None:
@@ -358,38 +362,41 @@ def run_simulation(cfg: RunConfig, side: HartreeSide | None = None) -> RunResult
 
 @dataclass
 class SweepResult:
-    records: list
-    runs: dict  # N -> RunResult
+    runs: dict  # N -> RunResult, in increasing N
     e_slope: float | None
     r_slope: float | None
-    degenerate: bool
+
+    @property
+    def records(self) -> list:  # every run's records, in (N, t) order
+        return [r for run in self.runs.values() for r in run.records]
+
+    @property
+    def degenerate(self) -> bool:  # every final-time E1 below 1e-12: no fit
+        return self.e_slope is None
 
     def fitted_Ks(self) -> dict:
         return {N: run.fitted_K() for N, run in self.runs.items()}
 
 
 def sweep_N(cfg: RunConfig) -> SweepResult:
-    """Run each N in turn on one shared Hartree side, concatenate the
-    records in (N, t) order, fit log-log slopes of the final-time
-    indicators against N."""
+    """Run each N in turn on one shared Hartree side and fit log-log
+    slopes of the final-time indicators against N."""
     Ns = list(cfg.particles_list)
     if len(Ns) < 3:
-        raise ConfigError("a sweep needs at least 3 values of N")
+        raise ConfigError(f"a sweep needs at least 3 values of N in --particles-list, got {Ns}")
     side = hartree_side(cfg)
     runs = {
         N: run_simulation(replace(cfg, particles=N, particles_list=()), side) for N in Ns
     }
 
-    records = [r for N in Ns for r in runs[N].records]
-
-    e_final = np.array([runs[N].records[-1].E1 for N in Ns])
-    r_final = np.array([runs[N].records[-1].R1 for N in Ns])
+    e_final = np.array([run.records[-1].E1 for run in runs.values()])
+    r_final = np.array([run.records[-1].R1 for run in runs.values()])
     if np.max(e_final) < 1e-12:
-        return SweepResult(records, runs, None, None, True)
+        return SweepResult(runs, None, None)
     logN = np.log(np.array(Ns, dtype=float))
     e_slope = float(np.polyfit(logN, np.log(e_final), 1)[0])
     r_slope = float(np.polyfit(logN, np.log(r_final), 1)[0])
-    return SweepResult(records, runs, e_slope, r_slope, False)
+    return SweepResult(runs, e_slope, r_slope)
 
 
 def eta_curve(d: int, p_values: list[Fraction]):

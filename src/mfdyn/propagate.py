@@ -12,13 +12,14 @@ from .fock import ManyBodyState
 DENSE_EIG_CAP = 3000
 KRYLOV_MAXDIM = 40
 UNITARITY_TOL = 1e-8
+METHODS = ("krylov", "dense")  # NBodyStepper's routes; the first is the default
 
 
 @dataclass(frozen=True)
 class PropagatorConfig:
     dt: float
     steps: int
-    method: str = "krylov"  # "krylov" | "dense"
+    method: str = METHODS[0]
     krylov_tol: float = 1e-10
 
     def __post_init__(self):
@@ -26,7 +27,7 @@ class PropagatorConfig:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.steps < 0:
             raise ConfigError(f"steps must be nonnegative, got {self.steps}")
-        if self.method not in ("krylov", "dense"):
+        if self.method not in METHODS:
             raise ConfigError(f"unknown propagator method {self.method!r}")
 
 
@@ -78,34 +79,26 @@ def lanczos_expm_apply(H, v: np.ndarray, dt: float, maxdim: int, tol: float) -> 
     )
 
 
-class DenseEigPropagator:
-    """Exact propagation from a one-time dense eigendecomposition."""
-
-    def __init__(self, H):
-        dim = H.shape[0]
-        if dim > DENSE_EIG_CAP:
-            raise ConfigError(
-                f"dense method allowed only for dim <= {DENSE_EIG_CAP}, got {dim}"
-            )
-        Hd = H.toarray() if sp.issparse(H) else np.asarray(H)
-        self.evals, self.evecs = np.linalg.eigh(Hd)
-
-    def apply(self, v: np.ndarray, dt: float) -> np.ndarray:
-        c = self.evecs.conj().T @ v
-        return self.evecs @ (np.exp(-1j * dt * self.evals) * c)
-
-
 class NBodyStepper:
-    """One exp(-i dt H) step, method per PropagatorConfig."""
+    """One exp(-i dt H) step, method per PropagatorConfig: adaptive Lanczos,
+    or exact propagation from one eigendecomposition of H made here."""
 
     def __init__(self, H, cfg: PropagatorConfig):
         self.H = H
         self.cfg = cfg
-        self._dense = DenseEigPropagator(H) if cfg.method == "dense" else None
+        self.evals = self.evecs = None
+        if cfg.method == "dense":
+            if H.shape[0] > DENSE_EIG_CAP:
+                raise ConfigError(
+                    f"dense method allowed only for dim <= {DENSE_EIG_CAP}, got {H.shape[0]}"
+                )
+            Hd = H.toarray() if sp.issparse(H) else np.asarray(H)
+            self.evals, self.evecs = np.linalg.eigh(Hd)
 
     def step(self, amps: np.ndarray) -> np.ndarray:
-        if self._dense is not None:
-            out = self._dense.apply(amps, self.cfg.dt)
+        if self.evecs is not None:
+            c = self.evecs.conj().T @ amps
+            out = self.evecs @ (np.exp(-1j * self.cfg.dt * self.evals) * c)
         else:
             out = lanczos_expm_apply(
                 self.H, amps, self.cfg.dt, KRYLOV_MAXDIM, self.cfg.krylov_tol

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -32,6 +33,7 @@ from mfdyn.harness import (
 )
 from mfdyn.lattice import Grid, lp_norm, sample_interaction
 from mfdyn.onebody import build_h, evolve_hartree, hartree_energy
+from mfdyn.propagate import METHODS
 
 
 FAST = dict(sites=6, particles=3, tfinal=0.05, dt=5e-3, stride=5)
@@ -146,8 +148,15 @@ def test_csv_roundtrip_and_determinism(tmp_path):
 
 
 def test_sweep_requires_enough_points():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="--particles-list"):
         sweep_N(make_config(**FAST, particles_list=(2, 3)))
+    with pytest.raises(ConfigError, match="--particles-list"):
+        sweep_N(make_config(**FAST))
+
+
+def test_run_takes_one_N():
+    with pytest.raises(ConfigError, match="--particles-list"):
+        run_simulation(make_config(**FAST, particles_list=(2, 3, 4)))
 
 
 def test_sweep_merging_and_order():
@@ -268,11 +277,12 @@ def test_cli_eta_curve_output(capsys):
 
 
 def test_cli_check_suite(capsys):
-    rc = main(["check", "bounds"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "PASS bounds/" in out
-    assert "FAIL" not in out
+    for suite in ("bounds", "fock-oracle"):
+        rc = main(["check", suite])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert f"PASS {suite}/" in out
+        assert "FAIL" not in out
 
 
 def test_cli_sweep_reports_fit(tmp_path, capsys):
@@ -285,6 +295,17 @@ def test_cli_sweep_reports_fit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "fit:" in err and "fitted-K" in err
     assert out.read_text().splitlines()[0] == CSV_HEADER
+
+
+def test_cli_sweep_caps_only_the_N_it_runs(tmp_path):
+    # --particles 10 is above MAX_N, but a sweep runs only its list
+    out = tmp_path / "sweep.csv"
+    rc = main(
+        ["sweep", "--sites", "4", "--particles", "10", "--particles-list", "2,3,4",
+         "--tfinal", "0.01", "--dt", "0.005", "--out", str(out)]
+    )
+    assert rc == 0
+    assert {row.split(",")[1] for row in out.read_text().splitlines()[1:]} == {"2", "3", "4"}
 
 
 @pytest.mark.parametrize(
@@ -307,8 +328,12 @@ def test_cli_sweep_reports_fit(tmp_path, capsys):
         ["simulate", "--sites", "4", "--particles", "2", "--particles-list", "2,3,4"],
         ["simulate", "--interaction", "random:2.5"],
         ["simulate", "--seed", "3"],
+        ["simulate", "--potential", "harmonic:inf"],
+        ["simulate", "--initial", "gaussian:nan,1"],
+        ["simulate", "--initial", "gaussian:1,inf"],
     ],
 )
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_cli_malformed_input_exits_1(argv, tmp_path, capsys):
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("sites = abc\n")
@@ -327,6 +352,14 @@ def test_cli_help_names_every_spec_kind(capsys):
     for kinds in (POTENTIALS, INTERACTIONS, INITIALS):
         for kind in kinds:
             assert kind in out
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_method_help_lists_the_propagator_methods(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert re.search(r"--method METHOD\s+" + re.escape(" | ".join(METHODS)) + "\n", out)
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

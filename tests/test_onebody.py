@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfdyn.errors import ConfigError
-from mfdyn.lattice import Grid, sample_interaction
+from mfdyn.lattice import Grid, LatticeField, sample_interaction
 from mfdyn.onebody import (
     HartreeStepper,
     Orbital,
@@ -133,6 +133,25 @@ def test_strang_splitting_second_order_in_state(grid6, gaussian_w):
     e2 = np.linalg.norm(solve(T / 200) - ref)
     ratio = e1 / e2
     assert 3.0 < ratio < 5.0  # second-order convergence gives ~4
+
+
+def test_uniform_drive_is_a_pure_phase(grid6, gaussian_w):
+    # v(t) = c(t) everywhere commutes with the flow and leaves |phi|^2 alone,
+    # so each step multiplies by exp(-i dt c) at the step's midpoint
+    def c(t):
+        return 2.0 + np.sin(3.0 * t)
+
+    def drive(t):
+        return LatticeField(grid6, np.full(grid6.sites, c(t)))
+
+    phi0 = gaussian_orbital(grid6, x0=2.0, sigma=0.8)
+    dt, steps = 0.05, 20
+    driven = evolve_hartree(grid6, drive, gaussian_w, phi0, dt, steps)
+    free = evolve_hartree(grid6, None, gaussian_w, phi0, dt, steps)
+    mids = dt * (np.arange(steps) + 0.5)
+    for k in range(steps + 1):
+        phase = np.exp(-1j * dt * sum(c(t) for t in mids[:k]))
+        assert np.max(np.abs(driven[k].values - phase * free[k].values)) < 1e-12, k
 
 
 def test_stepper_rejects_bad_dt(grid6, gaussian_w):

@@ -8,7 +8,6 @@ from mfdyn.harness import make_config, run_simulation
 from mfdyn.lattice import Grid, sample_interaction
 from mfdyn.onebody import build_h
 from mfdyn.propagate import (
-    DenseEigPropagator,
     NBodyStepper,
     PropagatorConfig,
     expectation,
@@ -96,15 +95,15 @@ def test_lanczos_unconverged_raises(small_system):
 
 def test_dense_eig_propagator_matches_expm(small_system):
     H, psi0 = small_system
-    prop = DenseEigPropagator(H)
-    got = prop.apply(psi0.amps, 0.3)
+    stepper = NBodyStepper(H, PropagatorConfig(dt=0.3, steps=1, method="dense"))
+    got = stepper.step(psi0.amps)
     want = scipy.linalg.expm(-1j * 0.3 * H.toarray()) @ psi0.amps
     assert np.allclose(got, want, atol=1e-11)
 
 
 def test_dense_eig_cap():
     with pytest.raises(ConfigError):
-        DenseEigPropagator(np.eye(3001))
+        NBodyStepper(np.eye(3001), PropagatorConfig(dt=1e-2, steps=1, method="dense"))
 
 
 def test_krylov_and_dense_paths_agree(small_system):

@@ -41,6 +41,15 @@ def test_envelope_check_rejects_particles_list():
     assert "Traceback" not in proc.stderr
 
 
+def test_envelope_check_reports_run_config_errors_as_usage():
+    # the basis cap is checked inside the run, after the flags parse;
+    # exit 1 would read as "envelope violated"
+    proc = run_script("envelope_check.py", "--sites", "30", "--particles", "9")
+    assert proc.returncode == 2
+    assert "above the cap" in proc.stderr.splitlines()[-1]
+    assert "Traceback" not in proc.stderr
+
+
 def test_eta_table_runs():
     proc = run_script("eta_table.py", "--points", "4")
     assert proc.returncode == 0, proc.stderr
