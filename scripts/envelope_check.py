@@ -5,7 +5,8 @@ Hartree orbital, then print how much room the closed-form alpha envelope
 
 Takes the run flags of `mfdyn simulate` (with `--stride` defaulting to 100)
 except `--particles-list`; `--out run.csv` also writes the run's CSV records.
-Exit codes: 0 envelope held, 1 envelope violated, 2 invalid configuration.
+Exit codes: 0 envelope held, 1 envelope violated, 2 invalid configuration
+(argparse's usage line) or numerical failure (one `numerical failure:` line).
 
 Usage:
     python scripts/envelope_check.py [--particles 4] [--interaction gaussian:1,1]
@@ -14,7 +15,7 @@ import argparse
 import sys
 
 from mfdyn.cli import add_run_flags, config_from_args
-from mfdyn.errors import ConfigError
+from mfdyn.errors import ConfigError, NumericalFailure
 from mfdyn.harness import records_csv, run_simulation
 
 
@@ -28,6 +29,9 @@ def main() -> int:
         result = run_simulation(cfg)
     except ConfigError as exc:
         ap.error(str(exc))
+    except NumericalFailure as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(records_csv(result.records))

@@ -2,15 +2,18 @@
 rate exponent eta, sum-space norm upper bounds, and the two energies."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ConfigError
 from .fock import ManyBodyState
-from .lattice import LatticeField, lp_norm
+from .lattice import LatticeField, lp_norm, lp_norms
 from .onebody import Orbital, hartree_energy
 from .propagate import expectation
+
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 def p0_of(d: int) -> Fraction:
@@ -60,11 +63,12 @@ def wnorm_upper_bound(
     return float(best)
 
 
-def envelope_integrand(orbitals: list[Orbital], q1: float, q2: float) -> np.ndarray:
-    """||phi(s)||_q1 + ||phi(s)||_q2 at every step of a Hartree solution."""
+def envelope_integrand(flow: np.ndarray, dx: float, q1: float, q2: float) -> np.ndarray:
+    """||phi(s)||_q1 + ||phi(s)||_q2 at every step of a Hartree solution, given
+    as the (steps + 1, M) array of `evolve_hartree` on a grid of spacing dx."""
     if not (2 <= q2 <= q1):
         raise ConfigError(f"need 2 <= q2 <= q1, got q1={q1}, q2={q2}")
-    norms = {q: np.array([lp_norm(o.field(), q) for o in orbitals]) for q in {q1, q2}}
+    norms = {q: lp_norms(flow, dx, q) for q in {q1, q2}}
     return norms[q1] + norms[q2]
 
 
@@ -77,13 +81,23 @@ def phi_envelope_integral(
     return float(32.0 * w_norm_bound * integral)
 
 
+def _times_exp(base: float, exponent: float) -> float:
+    """base * e^exponent; +-inf once that leaves the float range, where
+    numpy would warn about an overflow (0 for base 0)."""
+    if base == 0:
+        return 0.0
+    if exponent > _LOG_FLOAT_MAX - math.log(abs(base)):
+        return math.copysign(math.inf, base)
+    return float(base * np.exp(exponent))
+
+
 def gronwall_alpha_bound(alpha0: float, N: int, phi_t: float) -> float:
     """(alpha(0) + 1/N) e^{phi(t)}."""
     if not (0 <= alpha0 <= 1 + 1e-12):
         raise ConfigError(f"alpha0 must be in [0, 1], got {alpha0}")
     if N < 1:
         raise ConfigError(f"N must be >= 1, got {N}")
-    return float((alpha0 + 1.0 / N) * np.exp(phi_t))
+    return _times_exp(alpha0 + 1.0 / N, phi_t)
 
 
 def energies(
@@ -96,16 +110,18 @@ def energies(
     return e_psi, e_phi
 
 
-def sobolev_sup_norm(phi: Orbital, h: np.ndarray) -> float:
-    """||phi||_{X_1^2 cap L^inf} = ||(1 + h^2)^(1/2) phi|| + ||phi||_inf."""
-    u = phi.mode
-    x12 = np.sqrt(np.real(np.vdot(u, u + h @ (h @ u))))
-    return float(x12 + np.max(np.abs(phi.values)))
+def sobolev_sup_norm(flow: np.ndarray, dx: float, h: np.ndarray) -> np.ndarray:
+    """||phi||_{X_1^2 cap L^inf} = ||(1 + h^2)^(1/2) phi|| + ||phi||_inf of
+    each orbital phi on the last axis of `flow`, on a grid of spacing dx."""
+    u = np.sqrt(dx) * flow[..., None]  # mode vectors as columns
+    x12 = np.sqrt(np.real(np.conj(u).swapaxes(-1, -2) @ (u + h @ (h @ u))))[..., 0, 0]
+    return x12 + np.max(np.abs(flow), axis=-1)
 
 
-def phi_tilde_integrand(orbitals: list[Orbital], h: np.ndarray) -> np.ndarray:
-    """1 + ||phi(s)||^3_{X_1^2 cap L^inf} at every step of a Hartree solution."""
-    return 1.0 + np.array([sobolev_sup_norm(o, h) for o in orbitals]) ** 3
+def phi_tilde_integrand(flow: np.ndarray, dx: float, h: np.ndarray) -> np.ndarray:
+    """1 + ||phi(s)||^3_{X_1^2 cap L^inf} at every step of a Hartree solution,
+    given as the (steps + 1, M) array of `evolve_hartree`."""
+    return 1.0 + sobolev_sup_norm(flow, dx, h) ** 3
 
 
 def phi_tilde_integral(integrand: np.ndarray, times: np.ndarray) -> float:
@@ -121,7 +137,7 @@ def beta_bound_envelope(
     not derived (the underlying result only asserts a constant exists)."""
     if K <= 0:
         raise ConfigError(f"K must be positive, got {K}")
-    return float((beta0 + gap + N ** (-float(eta))) * np.exp(K * phi_tilde))
+    return _times_exp(beta0 + gap + N ** (-float(eta)), K * phi_tilde)
 
 
 def fitted_K(

@@ -1,8 +1,8 @@
 """Runnable invariant suites backing the `check` CLI subcommand, and the
 first-quantised reference they and the tests compare against: the dense
-tensor-space Hamiltonian and symmetrizer, the occupation-to-tensor
-isometry, tensor sector projectors, and the hierarchy and mean-field
-residuals. No run imports this module.
+tensor-space Hamiltonian and symmetrizer, the occupation-to-tensor and
+pair-to-tensor isometries, tensor sector projectors, and the hierarchy and
+mean-field residuals. No run imports this module.
 
 Each suite returns CheckResult rows with measured residuals; a suite passes
 iff every row does.
@@ -18,7 +18,14 @@ import numpy as np
 
 from .bounds import eta_of, p0_of
 from .errors import ConfigError
-from .fock import OccupationBasis, _multinomial, build_HN, enumerate_basis, product_state
+from .fock import (
+    OccupationBasis,
+    _multinomial,
+    build_HN,
+    enumerate_basis,
+    pair_modes,
+    product_state,
+)
 from .lattice import (
     Grid,
     LatticeField,
@@ -116,13 +123,31 @@ def tensor_hat_f(f: np.ndarray, phi: Orbital, N: int) -> np.ndarray:
     return sum(f[k] * Pk[k] for k in range(N + 1))
 
 
+def pair_isometry(M: int) -> np.ndarray:
+    """(M^2, M(M+1)/2) isometry embedding the symmetric pair space of
+    `fock.pair_modes` into C^M (x) C^M."""
+    x, y, weight = pair_modes(M)
+    S = np.zeros((M * M, x.size))
+    pairs = np.arange(x.size)
+    S[x * M + y, pairs] = S[y * M + x, pairs] = 1.0 / weight
+    return S
+
+
+def tensor_gamma2(g2: DensityMatrix) -> np.ndarray:
+    """A two-particle density matrix on C^M (x) C^M, embedded from the pair
+    space through `pair_isometry`."""
+    if g2.k != 2:
+        raise ConfigError("expected a two-particle density matrix")
+    M = math.isqrt(8 * g2.mat.shape[0] + 1) // 2  # pairs = M(M+1)/2
+    S = pair_isometry(M)
+    return S @ g2.mat @ S.T
+
+
 def partial_trace_2to1(g2: DensityMatrix) -> DensityMatrix:
     """Trace out the second particle of a two-particle density matrix."""
-    if g2.k != 2:
-        raise ConfigError("partial_trace_2to1 expects a two-particle density matrix")
-    M = int(round(np.sqrt(g2.mat.shape[0])))
-    t = g2.mat.reshape(M, M, M, M)
-    return DensityMatrix(1, np.einsum("xzyz->xy", t))
+    t = tensor_gamma2(g2)
+    M = math.isqrt(t.shape[0])
+    return DensityMatrix(1, np.einsum("xzyz->xy", t.reshape(M, M, M, M)))
 
 
 def seiringer_check(gamma: DensityMatrix, phi: Orbital) -> tuple[float, float]:
@@ -154,7 +179,8 @@ def bbgky_rhs_k1(
     -i ( [h, gamma1] + (N-1)/N tr_2 [W_12, gamma2] )."""
     M = h.shape[0]
     Wdiag = convolution_kernel_matrix(w).reshape(-1)
-    comm2 = Wdiag[:, None] * g2.mat - g2.mat * Wdiag[None, :]
+    t2 = tensor_gamma2(g2)
+    comm2 = Wdiag[:, None] * t2 - t2 * Wdiag[None, :]
     tr2 = np.einsum("xzyz->xy", comm2.reshape(M, M, M, M))
     return -1j * ((h @ g1.mat - g1.mat @ h) + (N - 1) / N * tr2)
 
@@ -196,10 +222,13 @@ def _random_orbital(rng, grid: Grid) -> Orbital:
     return Orbital.normalized(grid, vals)
 
 
-def random_symmetric_gamma2(rng, sym: np.ndarray) -> DensityMatrix:
-    """Random PSD unit-trace matrix supported on the range of the
-    two-particle symmetrizer `sym`."""
-    rho = sym @ _random_density(rng, sym.shape[0]) @ sym
+def random_symmetric_gamma2(rng, M: int) -> DensityMatrix:
+    """Random two-particle density matrix: a random density matrix on
+    C^M (x) C^M compressed to the symmetric pair space through
+    `pair_isometry`, which is the pair-space form of projecting it with the
+    two-particle symmetrizer."""
+    S = pair_isometry(M)
+    rho = S.T @ _random_density(rng, M * M) @ S
     return DensityMatrix(2, rho / np.trace(rho).real)
 
 
@@ -207,7 +236,6 @@ def indicators_suite(samples: int = 1000, seed: int = 7) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     grid = Grid(6, 1.0)
     M = grid.sites
-    sym = symmetrizer(M, 2)
     worst = {"E<=R": 0.0, "R<=sqrt8E": 0.0, "seiringer": 0.0, "E2<=2E1": 0.0}
     for _ in range(samples):
         phi = _random_orbital(rng, grid)
@@ -217,7 +245,7 @@ def indicators_suite(samples: int = 1000, seed: int = 7) -> list[CheckResult]:
         worst["R<=sqrt8E"] = max(worst["R<=sqrt8E"], r - math.sqrt(8 * max(e, 0.0)))
         tn, opn = seiringer_check(g, phi)
         worst["seiringer"] = max(worst["seiringer"], abs(tn - opn))
-        g2 = random_symmetric_gamma2(rng, sym)
+        g2 = random_symmetric_gamma2(rng, M)
         e2, r2 = E_k(g2, phi), R_k(g2, phi)
         worst["E<=R"] = max(worst["E<=R"], e2 - r2)
         worst["R<=sqrt8E"] = max(worst["R<=sqrt8E"], r2 - math.sqrt(8 * max(e2, 0.0)))
@@ -270,9 +298,9 @@ def conservation_suite() -> list[CheckResult]:
     h = build_h(grid)
     phi0 = Orbital.normalized(grid, np.exp(-((grid.coords - 3.0) ** 2)))
     dt, steps = 1e-3, 1000
-    orbitals = evolve_hartree(grid, None, w, phi0, dt, steps)
-    masses = np.array([grid.spacing * np.sum(np.abs(o.values) ** 2) for o in orbitals])
-    energies_h = np.array([hartree_energy(o, h, w) for o in orbitals])
+    flow = evolve_hartree(grid, None, w, phi0, dt, steps)
+    masses = grid.spacing * np.sum(np.abs(flow) ** 2, axis=1)
+    energies_h = np.array([hartree_energy(Orbital(grid, values), h, w) for values in flow])
     e0 = energies_h[0]
     out = [
         CheckResult("conservation", "hartree-mass", float(np.max(np.abs(masses - 1))), 1e-10),

@@ -103,6 +103,49 @@ def annihilate_all(
     return coef * amps[..., rows], sub
 
 
+def pair_modes(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The modes of the symmetric two-particle space: the site pairs x <= y
+    in row-major order, and the weight sqrt(2) (x < y) or 1 (x = y) that
+    makes (e_x (x) e_y + e_y (x) e_x) / weight a unit vector for x < y and
+    e_x (x) e_x for x = y. gamma2 and the pair condensate vector are written
+    in this order."""
+    x, y = np.triu_indices(M)
+    return x, y, np.where(x < y, np.sqrt(2.0), 1.0)
+
+
+def _pair_map(basis: OccupationBasis):
+    """The N-2 basis, and for every pair x <= y of `pair_modes` and state t
+    of it the row of t + e_x + e_y in `basis` with the amplitude
+    sqrt((t_x + 1)(t_y + 1 + delta_xy)) of a_x a_y, times the pair's weight."""
+    if "pair" not in basis._cache:
+        if basis.particles < 2:
+            raise ConfigError("cannot annihilate a pair from fewer than two particles")
+        sub = enumerate_basis(basis.sites, basis.particles - 2)
+        x, y, weight = pair_modes(basis.sites)
+        eye = np.eye(basis.sites, dtype=np.int64)
+        rows = np.stack([basis.rank(sub.states + e) for e in eye[x] + eye[y]])
+        t = sub.states.T
+        coef = weight[:, None] * np.sqrt((t[x] + 1) * (t[y] + 1 + (x == y)[:, None]))
+        basis._cache["pair"] = (sub, rows, coef)
+    return basis._cache["pair"]
+
+
+def annihilate_pairs(
+    amps: np.ndarray, basis: OccupationBasis
+) -> tuple[np.ndarray, OccupationBasis]:
+    """The components of a_x a_y v on the symmetric pair space, for every
+    vector v on the last axis of `amps`: shape (..., dim) -> (..., pairs,
+    dim of the N-2 sector), pairs as in `pair_modes`, with the N-2 basis.
+
+    a_x a_y is injective on each sector, so every entry is a single gathered
+    product."""
+    amps = np.asarray(amps)
+    if amps.shape[-1] != basis.dim:
+        raise ConfigError("amplitude vectors do not match basis dimension")
+    sub, rows, coef = _pair_map(basis)
+    return coef * amps[..., rows], sub
+
+
 def _onebody_pattern(basis: OccupationBasis):
     """Static CSR data for dGamma(A) = sum_ij A_ij a_i^dag a_j.
 

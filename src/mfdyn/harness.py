@@ -277,17 +277,17 @@ def hartree_side(cfg: RunConfig) -> HartreeSide:
     w = interaction_field(cfg, grid)
     h = build_h(grid, v)
     steps = cfg.steps
-    orbitals = evolve_hartree(grid, v, w, initial_orbital(cfg, grid, h), cfg.dt, steps)
+    flow = evolve_hartree(grid, v, w, initial_orbital(cfg, grid, h), cfg.dt, steps)
     times = cfg.dt * np.arange(steps + 1)
     w_bound = wnorm_upper_bound(w, cfg.p1, cfg.p2, default_cutoffs(w))
-    env = envelope_integrand(orbitals, conjugate_q(cfg.p1), conjugate_q(cfg.p2))
-    ptil = phi_tilde_integrand(orbitals, h)
+    env = envelope_integrand(flow, cfg.dx, conjugate_q(cfg.p1), conjugate_q(cfg.p2))
+    ptil = phi_tilde_integrand(flow, cfg.dx, h)
     record_steps = [*range(0, steps, cfg.stride), steps]
     return HartreeSide(
         h=h,
         w=w,
         record_steps=record_steps,
-        orbitals=[orbitals[k] for k in record_steps],
+        orbitals=[Orbital(grid, values) for values in flow[record_steps]],
         phi_ts=[
             phi_envelope_integral(env[: k + 1], times[: k + 1], w_bound)
             for k in record_steps

@@ -82,16 +82,28 @@ def laplacian_eigenvalues(grid: Grid) -> np.ndarray:
 
 def lp_norm(f: LatticeField, p: float) -> float:
     """(dx * sum |f|^p)^(1/p); max |f| for p = inf."""
+    return float(lp_norms(f.values[None], f.grid.spacing, p)[0])
+
+
+def lp_norms(values: np.ndarray, dx: float, p: float) -> np.ndarray:
+    """`lp_norm` of every row of a (rows, M) array of fields on a grid of
+    spacing dx. Each row goes through the same array operations, so a row's
+    norm does not depend on the rows beside it."""
+    a = np.abs(values)
+    m = a.max(axis=-1)
     if p == np.inf:
-        return float(np.max(np.abs(f.values)))
+        return m
     if p < 1:
         raise ConfigError(f"lp_norm requires p >= 1, got {p}")
-    dx = f.grid.spacing
-    m = float(np.max(np.abs(f.values)))
-    if m == 0.0:
-        return 0.0
-    # factor out the max so large p cannot overflow
-    return float(m * (dx * np.sum((np.abs(f.values) / m) ** p)) ** (1.0 / p))
+    # factor out the max so large p cannot overflow; a zero row has norm 0
+    scale = np.where(m > 0, m, 1.0)
+    return m * (dx * np.sum((a / scale[:, None]) ** p, axis=-1)) ** (1.0 / p)
+
+
+def circulant(w: LatticeField) -> np.ndarray:
+    """Complex circulant matrix C[x, y] = w(x - y) of the field's values."""
+    M = w.grid.sites
+    return w.values[(np.arange(M)[:, None] - np.arange(M)[None, :]) % M]
 
 
 def periodic_convolution(w: LatticeField, rho: LatticeField) -> LatticeField:
@@ -99,16 +111,12 @@ def periodic_convolution(w: LatticeField, rho: LatticeField) -> LatticeField:
     direct O(M^2) sum."""
     if w.grid != rho.grid:
         raise ConfigError("convolution operands live on different grids")
-    M = w.grid.sites
-    idx = (np.arange(M)[:, None] - np.arange(M)[None, :]) % M
-    return LatticeField(w.grid, w.grid.spacing * (w.values[idx] @ rho.values))
+    return LatticeField(w.grid, w.grid.spacing * (circulant(w) @ rho.values))
 
 
 def convolution_kernel_matrix(w: LatticeField) -> np.ndarray:
     """Circulant matrix W[x, y] = w(x - y) of pointwise pair values (no dx)."""
-    M = w.grid.sites
-    idx = (np.arange(M)[:, None] - np.arange(M)[None, :]) % M
-    return w.values[idx].real.copy()
+    return circulant(w).real.copy()
 
 
 def sample_interaction(grid: Grid, kind: str, **params) -> LatticeField:

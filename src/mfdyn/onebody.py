@@ -14,6 +14,7 @@ from .errors import ConfigError, NumericalFailure
 from .lattice import (
     Grid,
     LatticeField,
+    circulant,
     laplacian_eigenvalues,
     laplacian_matrix,
     periodic_convolution,
@@ -121,20 +122,18 @@ class HartreeStepper:
             raise ConfigError(f"dt must be positive, got {dt}")
         self.grid = grid
         self.dt = dt
-        self.w = w
+        self._W = circulant(w)  # the mean field is dx * (W @ |phi|^2)
         self._v = v  # LatticeField, callable t -> LatticeField, or None
+        if not callable(v):
+            self._v_static = np.zeros(grid.sites) if v is None else v.real_values()
         self._kin_half = np.exp(-0.5j * dt * laplacian_eigenvalues(grid))
 
     def _v_values(self, t_mid: float) -> np.ndarray:
-        if self._v is None:
-            return np.zeros(self.grid.sites)
-        v = self._v(t_mid) if callable(self._v) else self._v
-        return v.real_values()
+        return self._v(t_mid).real_values() if callable(self._v) else self._v_static
 
     def step(self, values: np.ndarray, t: float) -> np.ndarray:
         psi = np.fft.ifft(self._kin_half * np.fft.fft(values))
-        rho = LatticeField(self.grid, np.abs(psi) ** 2)
-        wphi = periodic_convolution(self.w, rho).values.real
+        wphi = (self.grid.spacing * (self._W @ np.abs(psi) ** 2)).real
         psi = psi * np.exp(-1j * self.dt * (self._v_values(t + 0.5 * self.dt) + wphi))
         psi = np.fft.ifft(self._kin_half * np.fft.fft(psi))
         if not np.all(np.isfinite(psi)):
@@ -149,12 +148,19 @@ def evolve_hartree(
     phi0: Orbital,
     dt: float,
     steps: int,
-) -> list[Orbital]:
-    """Integrate the Hartree equation; entry k is the orbital at t = k * dt."""
+) -> np.ndarray:
+    """Integrate the Hartree equation: a (steps + 1, M) array whose row k
+    holds the orbital's values at t = k * dt. Every row is checked to be
+    normalized, as an `Orbital` would be."""
     stepper = HartreeStepper(grid, v, w, dt)
-    orbitals = [phi0]
-    vals = phi0.values
+    flow = np.empty((steps + 1, grid.sites), dtype=complex)
+    flow[0] = phi0.values
     for k in range(steps):
-        vals = stepper.step(vals, k * dt)
-        orbitals.append(Orbital(grid, vals))
-    return orbitals
+        flow[k + 1] = stepper.step(flow[k], k * dt)
+    drift = np.abs(grid.spacing * np.sum(np.abs(flow) ** 2, axis=1) - 1.0)
+    if np.max(drift) > ORBITAL_NORM_TOL:
+        k = int(np.argmax(drift))
+        raise NumericalFailure(
+            f"Hartree flow lost normalization: |phi|^2 - 1 = {drift[k]} at t={k * dt}"
+        )
+    return flow

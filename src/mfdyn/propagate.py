@@ -50,38 +50,52 @@ def lanczos_expm_apply(H, v: np.ndarray, dt: float, maxdim: int, tol: float) -> 
     Stops when the standard residual estimate beta_{j+1} |y_j| drops below
     tol, or on happy breakdown; raises if maxdim is reached unconverged.
     """
+    V = np.empty((maxdim, v.shape[0]), dtype=complex)
+    return _lanczos_expm(H, v, dt, tol, V, np.zeros((maxdim, maxdim)))
+
+
+def _lanczos_expm(H, v, dt, tol, V, T) -> np.ndarray:
+    """`lanczos_expm_apply` with maxdim = len(V) in caller-owned workspace:
+    V (maxdim, dim) complex for the Lanczos vectors, and T (maxdim, maxdim)
+    real, zero off its tridiagonal band, which this fills in place. Every
+    entry read is written first, so the workspace serves call after call."""
     nrm = np.linalg.norm(v)
     if nrm == 0:
         return v.copy()
-    V = np.empty((maxdim, v.shape[0]), dtype=complex)
-    T = np.zeros((maxdim, maxdim))  # tridiagonal Lanczos matrix, filled in place
-    V[0] = v / nrm
+    maxdim = V.shape[0]
+    np.divide(v, nrm, out=V[0])
     w = H @ V[0]
     T[0, 0] = np.real(np.vdot(V[0], w))
-    w = w - T[0, 0] * V[0]
+    w -= T[0, 0] * V[0]
     for j in range(1, maxdim + 1):
         b = np.linalg.norm(w)
-        lam, U = np.linalg.eigh(T[:j, :j])
-        y = U @ (np.exp(-1j * dt * lam) * U[0])
+        if j == 1:
+            y = np.exp(-1j * dt * T[:1, 0])
+        else:
+            lam, U = np.linalg.eigh(T[:j, :j])
+            y = U @ (np.exp(-1j * dt * lam) * U[0])
         if b < 1e-14 or b * abs(y[-1]) * abs(dt) < tol:
             return nrm * (y @ V[:j])
         if j == maxdim:
             break
         T[j - 1, j] = T[j, j - 1] = b
-        V[j] = w / b
-        w = H @ V[j] - b * V[j - 1]
+        np.divide(w, b, out=V[j])
+        w = H @ V[j]
+        w -= b * V[j - 1]
         T[j, j] = np.real(np.vdot(V[j], w))
-        w = w - T[j, j] * V[j]
-        # full reorthogonalization; cheap at desk-scale subspace sizes
-        w = w - (V[: j + 1].conj() @ w) @ V[: j + 1]
+        w -= T[j, j] * V[j]
+        # full reorthogonalization; cheap at desk-scale subspace sizes.
+        # conj(V) w is taken as conj(V conj(w)), which copies no block of V.
+        w -= np.conj(V[: j + 1] @ np.conj(w)) @ V[: j + 1]
     raise NumericalFailure(
         f"Lanczos exponential did not converge within maxdim={maxdim}"
     )
 
 
 class NBodyStepper:
-    """One exp(-i dt H) step, method per PropagatorConfig: adaptive Lanczos,
-    or exact propagation from one eigendecomposition of H made here."""
+    """One exp(-i dt H) step, method per PropagatorConfig: adaptive Lanczos
+    in a workspace made here and reused by every step, or exact propagation
+    from one eigendecomposition of H made here."""
 
     def __init__(self, H, cfg: PropagatorConfig):
         self.H = H
@@ -94,14 +108,17 @@ class NBodyStepper:
                 )
             Hd = H.toarray() if sp.issparse(H) else np.asarray(H)
             self.evals, self.evecs = np.linalg.eigh(Hd)
+        else:
+            self._V = np.empty((KRYLOV_MAXDIM, H.shape[0]), dtype=complex)
+            self._T = np.zeros((KRYLOV_MAXDIM, KRYLOV_MAXDIM))
 
     def step(self, amps: np.ndarray) -> np.ndarray:
         if self.evecs is not None:
             c = self.evecs.conj().T @ amps
             out = self.evecs @ (np.exp(-1j * self.cfg.dt * self.evals) * c)
         else:
-            out = lanczos_expm_apply(
-                self.H, amps, self.cfg.dt, KRYLOV_MAXDIM, self.cfg.krylov_tol
+            out = _lanczos_expm(
+                self.H, amps, self.cfg.dt, self.cfg.krylov_tol, self._V, self._T
             )
         if not np.all(np.isfinite(out)):
             raise NumericalFailure("propagation produced nonfinite amplitudes")

@@ -1,7 +1,8 @@
 """Reduced density matrices and the closeness indicators.
 
 Density matrices are mode-basis matrices with plain trace 1; the condensate
-comparison uses the sqrt(dx)-scaled orbital mode vector.
+comparison uses the sqrt(dx)-scaled orbital mode vector. The two-particle
+matrix lives on the symmetric pair space of `fock.pair_modes`.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure
-from .fock import ManyBodyState, annihilate_all
+from .fock import ManyBodyState, annihilate_all, annihilate_pairs, pair_modes
 from .onebody import Orbital
 
 HERM_TOL = 1e-10
@@ -19,7 +20,11 @@ TRACE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian positive unit-trace operator on the k-particle mode space."""
+    """Hermitian positive unit-trace operator on the k-particle mode space:
+    M x M for k = 1; for k = 2, M(M+1)/2 square on the symmetric pair space
+    of `fock.pair_modes`, which holds every bosonic two-particle state. Its
+    embedding into C^M (x) C^M through the pair isometry (`checks`) is the
+    tensor-space matrix, with the same nonzero spectrum."""
 
     k: int
     mat: np.ndarray
@@ -47,20 +52,22 @@ def gamma1(psi: ManyBodyState) -> DensityMatrix:
 
 
 def gamma2(psi: ManyBodyState) -> DensityMatrix:
-    """gamma2[(x1,x2),(y1,y2)] = <a_y1^dag a_y2^dag a_x2 a_x1> / (N(N-1))."""
+    """<a_y1^dag a_y2^dag a_x2 a_x1> / (N(N-1)) on the symmetric pair space:
+    one gather of every pair component of a_x a_y Psi."""
     N = psi.basis.particles
     if N < 2:
         raise ConfigError("gamma2 needs at least two particles")
-    M = psi.basis.sites
-    A, sub = annihilate_all(psi.amps, psi.basis)
-    B, _ = annihilate_all(A, sub)  # B[x2, x1] = a_x1 a_x2 psi
-    B = B.transpose(1, 0, 2).reshape(M * M, -1)
+    B, _ = annihilate_pairs(psi.amps, psi.basis)
     return DensityMatrix(2, (B @ B.conj().T) / (N * (N - 1)))
 
 
 def _condensate_vector(phi: Orbital, k: int) -> np.ndarray:
+    """phi^(x)k in the mode space of a k-particle density matrix."""
     u = phi.mode
-    return u if k == 1 else np.kron(u, u)
+    if k == 1:
+        return u
+    x, y, weight = pair_modes(phi.grid.sites)
+    return weight * u[x] * u[y]
 
 
 def E_k(gamma: DensityMatrix, phi: Orbital) -> float:

@@ -37,6 +37,7 @@ from mfdyn.checks import (
     indicators_suite,
     occupation_to_tensor_isometry,
     pair_interaction_expectation,
+    tensor_gamma2,
 )
 from mfdyn.fock import ManyBodyState, build_HN, enumerate_basis, product_state
 from mfdyn.harness import (
@@ -152,7 +153,9 @@ def test_criterion_3_oracle_equivalence():
         if N >= 2:
             worst = max(
                 worst,
-                float(np.max(np.abs(gamma2(state).mat - tensor_gamma_k(U, amps, M, N, 2)))),
+                float(np.max(np.abs(
+                    tensor_gamma2(gamma2(state)) - tensor_gamma_k(U, amps, M, N, 2)
+                ))),
             )
     ok = worst <= 1e-10
     assert report("criterion-3 oracle equivalence incl. T=1 evolution", ok,

@@ -113,15 +113,49 @@ def test_phi_integral_sup_norm_case(grid6, gaussian_w):
     # p1 = p2 = inf gives q1 = q2 = 2 and ||phi||_2 = 1, so the integrand is
     # the constant 64 ||w||_inf
     phi0 = gaussian_orbital(grid6, x0=3.0, sigma=1.0)
-    orbitals = evolve_hartree(grid6, None, gaussian_w, phi0, dt=1e-2, steps=100)
+    flow = evolve_hartree(grid6, None, gaussian_w, phi0, dt=1e-2, steps=100)
     times = 1e-2 * np.arange(101)
-    integrand = envelope_integrand(orbitals, 2.0, 2.0)
+    integrand = envelope_integrand(flow, grid6.spacing, 2.0, 2.0)
     winf = lp_norm(gaussian_w, np.inf)
     for k, t in ((0, 0.0), (50, 0.5), (100, 1.0)):
         got = phi_envelope_integral(integrand[: k + 1], times[: k + 1], winf)
         assert got == pytest.approx(64.0 * winf * t, abs=1e-9)
     with pytest.raises(ConfigError):
-        envelope_integrand(orbitals, 2.0, 4.0)  # needs q2 <= q1
+        envelope_integrand(flow, grid6.spacing, 2.0, 4.0)  # needs q2 <= q1
+
+
+@pytest.mark.parametrize("M, dx", [(6, 0.7), (8, 0.5), (12, 1.3)])
+def test_envelope_integrands_on_the_flow_array(M, dx):
+    # each row of the flow array gets the arithmetic of lp_norm on that
+    # orbital alone, byte for byte; the Sobolev norm follows its formula
+    grid = Grid(M, dx)
+    w = sample_interaction(grid, "softcoulomb", lam=1.0, eps=0.5)
+    h = build_h(grid)
+    phi0 = gaussian_orbital(grid, x0=0.4 * grid.length, sigma=0.8)
+    flow = evolve_hartree(grid, None, w, phi0, dt=1e-2, steps=60)
+    fields = [LatticeField(grid, values) for values in flow]
+    for q1, q2 in ((2.0, 2.0), (4.0, 2.0), (np.inf, 4.0), (np.inf, 2.0)):
+        got = envelope_integrand(flow, dx, q1, q2)
+        want = np.array([lp_norm(f, q1) + lp_norm(f, q2) for f in fields])
+        assert np.array_equal(got, want), (q1, q2)
+    sobolev = []
+    for values in flow:
+        u = np.sqrt(dx) * values
+        x12 = np.sqrt(np.real(np.vdot(u, u + h @ (h @ u))))
+        sobolev.append(x12 + np.max(np.abs(values)))
+    got = phi_tilde_integrand(flow, dx, h)
+    assert np.allclose(got, 1.0 + np.array(sobolev) ** 3, rtol=1e-14, atol=0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_envelopes_overflow_to_inf_without_a_warning():
+    assert gronwall_alpha_bound(0.1, 4, 1000.0) == math.inf
+    assert beta_bound_envelope(0.1, -0.05, 4, 1.0 / 3.0, 1.0, 1000.0) == math.inf
+    assert beta_bound_envelope(0.0, -2.0, 4, 1.0 / 3.0, 1.0, 1000.0) == -math.inf
+    # below the float range the product is np.exp's, as before
+    assert gronwall_alpha_bound(0.1, 4, 700.0) == float((0.1 + 1.0 / 4) * np.exp(700.0))
+    assert math.isfinite(gronwall_alpha_bound(0.0, 1, 709.0))
+    assert gronwall_alpha_bound(1.0, 1, 709.5) == math.inf  # 2 e^709.5 > float max
 
 
 def test_gronwall_alpha_bound_values():
@@ -159,15 +193,15 @@ def test_sobolev_sup_norm_plane_wave(grid6, h6):
 
     phi = Orbital.normalized(grid6, np.ones(6))
     # h phi = 0 for the flat state, so the X-norm part is ||phi||_2 = 1
-    got = sobolev_sup_norm(phi, h6)
+    got = sobolev_sup_norm(phi.values, grid6.spacing, h6)
     assert got == pytest.approx(1.0 + 1.0 / math.sqrt(6.0), abs=1e-12)
 
 
 def test_phi_tilde_integral_monotone(grid6, gaussian_w, h6):
     phi0 = gaussian_orbital(grid6, x0=3.0, sigma=1.0)
-    orbitals = evolve_hartree(grid6, None, gaussian_w, phi0, dt=1e-2, steps=100)
+    flow = evolve_hartree(grid6, None, gaussian_w, phi0, dt=1e-2, steps=100)
     times = 1e-2 * np.arange(101)
-    integrand = phi_tilde_integrand(orbitals, h6)
+    integrand = phi_tilde_integrand(flow, grid6.spacing, h6)
     vals = [phi_tilde_integral(integrand[: k + 1], times[: k + 1]) for k in (0, 25, 50, 100)]
     assert vals[0] == 0.0
     assert all(a < b for a, b in zip(vals, vals[1:]))

@@ -11,9 +11,11 @@ from mfdyn.errors import ConfigError
 from mfdyn.fock import (
     ManyBodyState,
     annihilate_all,
+    annihilate_pairs,
     build_HN,
     enumerate_basis,
     interaction_diagonal,
+    pair_modes,
     product_state,
     second_quantize_onebody,
 )
@@ -194,6 +196,25 @@ def test_annihilate_all_stacks_and_commutes(rng):
     B, sub2 = annihilate_all(A, sub)
     assert B.shape == (2, 4, 4, sub2.dim)
     assert np.allclose(B, B.transpose(0, 2, 1, 3), atol=1e-12)
+
+
+@pytest.mark.parametrize("M, N", [(2, 2), (4, 3), (5, 4), (8, 6)])
+def test_pair_map_equals_two_annihilations(rng, M, N):
+    # the pair component (x <= y) of a_x a_y v, weighted sqrt(2) for x < y
+    basis = enumerate_basis(M, N)
+    v = rng.normal(size=(2, basis.dim)) + 1j * rng.normal(size=(2, basis.dim))
+    P, sub2 = annihilate_pairs(v, basis)
+    A, sub = annihilate_all(v, basis)
+    B, _ = annihilate_all(A, sub)  # B[k, y, x] = a_x a_y v_k
+    x, y, weight = pair_modes(M)
+    assert sub2.particles == N - 2 and P.shape == (2, M * (M + 1) // 2, sub2.dim)
+    assert np.allclose(P, weight[:, None] * B[:, y, x], atol=1e-12, rtol=0)
+    assert np.array_equal(weight, np.where(x < y, math.sqrt(2.0), 1.0))
+    assert [(int(a), int(b)) for a, b in zip(x, y)] == [
+        (a, b) for a in range(M) for b in range(a, M)
+    ]
+    with pytest.raises(ConfigError):
+        annihilate_pairs(np.ones(M), enumerate_basis(M, 1))
 
 
 def test_symmetrizer_is_projector():

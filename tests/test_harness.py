@@ -31,8 +31,8 @@ from mfdyn.harness import (
     run_simulation,
     sweep_N,
 )
-from mfdyn.lattice import Grid, lp_norm, sample_interaction
-from mfdyn.onebody import build_h, evolve_hartree, hartree_energy
+from mfdyn.lattice import Grid, LatticeField, lp_norm, sample_interaction
+from mfdyn.onebody import Orbital, build_h, evolve_hartree, hartree_energy
 from mfdyn.propagate import METHODS
 
 
@@ -110,23 +110,23 @@ def test_records_use_hartree_orbital_of_their_step():
     v = potential_field(cfg, grid)
     w = interaction_field(cfg, grid)
     h = build_h(grid, v)
-    orbitals = evolve_hartree(grid, v, w, initial_orbital(cfg, grid, h), cfg.dt, cfg.steps)
+    flow = evolve_hartree(grid, v, w, initial_orbital(cfg, grid, h), cfg.dt, cfg.steps)
     times = cfg.dt * np.arange(cfg.steps + 1)
     w_bound = wnorm_upper_bound(w, cfg.p1, cfg.p2, default_cutoffs(w))
+    fields = [LatticeField(grid, values) for values in flow]
     integrand = np.array(
-        [lp_norm(o.field(), conjugate_q(cfg.p1)) + lp_norm(o.field(), conjugate_q(cfg.p2))
-         for o in orbitals]
+        [lp_norm(f, conjugate_q(cfg.p1)) + lp_norm(f, conjugate_q(cfg.p2)) for f in fields]
     )
     side = harness.hartree_side(cfg)
     assert side.record_steps == [0, 4, 8, 10]  # the last step is a record step
     assert len(side.orbitals) == len(side.record_steps)
     for k, orb in zip(side.record_steps, side.orbitals):
-        assert np.array_equal(orb.values, orbitals[k].values)
+        assert np.array_equal(orb.values, flow[k])
     res = run_simulation(cfg)
     assert [round(r.t / cfg.dt) for r in res.records] == side.record_steps
     for r in res.records:
         k = round(r.t / cfg.dt)
-        assert r.Ephi == hartree_energy(orbitals[k], h, w)
+        assert r.Ephi == hartree_energy(Orbital(grid, flow[k]), h, w)
         want = 32.0 * w_bound * np.trapezoid(integrand[: k + 1], times[: k + 1])
         assert r.phi_t == pytest.approx(want, rel=1e-14, abs=0)
 
@@ -423,7 +423,8 @@ MOVED_TO_CHECKS = {
 
 
 def test_run_path_leaves_out_the_reference():
-    # a fresh interpreter: this process has long imported mfdyn.checks
+    # a fresh interpreter: this process has long imported mfdyn.checks;
+    # the CLI loads it only for `mfdyn check`
     from mfdyn import checks
 
     for names in MOVED_TO_CHECKS.values():
@@ -432,7 +433,7 @@ def test_run_path_leaves_out_the_reference():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     script = (
-        "import sys, mfdyn.harness\n"
+        "import sys, mfdyn.harness, mfdyn.cli\n"
         "assert 'mfdyn.checks' not in sys.modules, 'mfdyn.checks imported'\n"
         f"for mod, names in {MOVED_TO_CHECKS!r}.items():\n"
         "    left = [n for n in names if hasattr(sys.modules['mfdyn.' + mod], n)]\n"

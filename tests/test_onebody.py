@@ -93,16 +93,16 @@ def test_hartree_plane_wave_exact(grid6):
     # stationary for the zero-momentum plane wave
     phi0 = Orbital.normalized(grid6, np.ones(6))
     w = sample_interaction(grid6, "gaussian", lam=1.0, sigma=1.0)
-    orbitals = evolve_hartree(grid6, None, w, phi0, dt=1e-2, steps=200)
-    rho_t = np.abs(orbitals[-1].values) ** 2
+    flow = evolve_hartree(grid6, None, w, phi0, dt=1e-2, steps=200)
+    rho_t = np.abs(flow[-1]) ** 2
     assert np.allclose(rho_t, np.abs(phi0.values) ** 2, atol=1e-12)
 
 
 def test_hartree_mass_conservation(grid6, gaussian_w):
     phi0 = gaussian_orbital(grid6, x0=3.0, sigma=0.7)
-    orbitals = evolve_hartree(grid6, None, gaussian_w, phi0, dt=1e-3, steps=500)
-    for orb in orbitals[::50]:
-        assert abs(grid6.spacing * np.sum(np.abs(orb.values) ** 2) - 1.0) < 1e-10
+    flow = evolve_hartree(grid6, None, gaussian_w, phi0, dt=1e-3, steps=500)
+    for values in flow[::50]:
+        assert abs(grid6.spacing * np.sum(np.abs(values) ** 2) - 1.0) < 1e-10
 
 
 def test_hartree_energy_drift_second_order(grid6, gaussian_w):
@@ -110,8 +110,8 @@ def test_hartree_energy_drift_second_order(grid6, gaussian_w):
     phi0 = gaussian_orbital(grid6, x0=3.0, sigma=0.7)
 
     def drift(dt, steps):
-        orbitals = evolve_hartree(grid6, None, gaussian_w, phi0, dt, steps)
-        e = np.array([hartree_energy(o, h, gaussian_w) for o in orbitals])
+        flow = evolve_hartree(grid6, None, gaussian_w, phi0, dt, steps)
+        e = np.array([hartree_energy(Orbital(grid6, values), h, gaussian_w) for values in flow])
         return float(np.max(np.abs(e - e[0])))
 
     d1 = drift(4e-3, 250)
@@ -126,7 +126,7 @@ def test_strang_splitting_second_order_in_state(grid6, gaussian_w):
 
     def solve(dt):
         steps = int(round(T / dt))
-        return evolve_hartree(grid6, None, gaussian_w, phi0, dt, steps)[-1].values
+        return evolve_hartree(grid6, None, gaussian_w, phi0, dt, steps)[-1]
 
     ref = solve(T / 3200)
     e1 = np.linalg.norm(solve(T / 100) - ref)
@@ -151,7 +151,27 @@ def test_uniform_drive_is_a_pure_phase(grid6, gaussian_w):
     mids = dt * (np.arange(steps) + 0.5)
     for k in range(steps + 1):
         phase = np.exp(-1j * dt * sum(c(t) for t in mids[:k]))
-        assert np.max(np.abs(driven[k].values - phase * free[k].values)) < 1e-12, k
+        assert np.max(np.abs(driven[k] - phase * free[k])) < 1e-12, k
+
+
+@pytest.mark.parametrize("drive", ["none", "static", "callable"])
+def test_flow_array_equals_stepping_by_hand(grid8, drive):
+    # the array of evolve_hartree holds exactly what HartreeStepper gives
+    # step by step, each row a normalized orbital
+    w = sample_interaction(grid8, "invsquare", lam=1.0)
+    trap = harmonic_potential(grid8, 2.0)
+    v = {"none": None, "static": trap, "callable": lambda t: trap}[drive]
+    phi0 = gaussian_orbital(grid8, x0=1.5, sigma=0.6)
+    dt, steps = 2e-3, 40
+    flow = evolve_hartree(grid8, v, w, phi0, dt, steps)
+    assert flow.shape == (steps + 1, grid8.sites)
+    stepper = HartreeStepper(grid8, v, w, dt)
+    vals = phi0.values
+    assert np.array_equal(flow[0], vals)
+    for k in range(steps):
+        vals = stepper.step(vals, k * dt)
+        assert np.array_equal(flow[k + 1], vals), k
+        Orbital(grid8, flow[k + 1])
 
 
 def test_stepper_rejects_bad_dt(grid6, gaussian_w):

@@ -9,8 +9,10 @@ from mfdyn.checks import (
     bbgky_rhs_k1,
     mean_field_sandwich_residual,
     occupation_to_tensor_isometry,
+    pair_isometry,
     partial_trace_2to1,
     seiringer_check,
+    tensor_gamma2,
 )
 from mfdyn.errors import ConfigError, NumericalFailure
 from mfdyn.fock import ManyBodyState, build_HN, enumerate_basis, product_state
@@ -72,7 +74,8 @@ def test_gamma2_product_state(rng, grid6):
     psi = product_state(phi, enumerate_basis(6, 3))
     g2 = gamma2(psi)
     u2 = np.kron(phi.mode, phi.mode)
-    assert np.allclose(g2.mat, np.outer(u2, u2.conj()), atol=1e-12)
+    assert g2.mat.shape == (21, 21)  # the M(M+1)/2 pair modes of M = 6
+    assert np.allclose(tensor_gamma2(g2), np.outer(u2, u2.conj()), atol=1e-12)
 
 
 def test_gamma2_requires_two_particles(rng):
@@ -89,7 +92,7 @@ def test_gammas_match_tensor_oracle(seed):
         basis = enumerate_basis(M, N)
         psi = random_state(rng, M, N)
         assert np.allclose(gamma1(psi).mat, tensor_gamma_k(psi, 1), atol=1e-10)
-        assert np.allclose(gamma2(psi).mat, tensor_gamma_k(psi, 2), atol=1e-10)
+        assert np.allclose(tensor_gamma2(gamma2(psi)), tensor_gamma_k(psi, 2), atol=1e-10)
 
 
 def test_partial_trace_consistency(rng):
@@ -102,8 +105,10 @@ def test_partial_trace_consistency(rng):
 
 
 def test_gamma2_supported_on_symmetric_subspace(rng):
+    # the tensor-space gamma2 of a bosonic state is swap-invariant and lies
+    # in the range of the pair isometry, so the pair space loses nothing
     psi = random_state(rng, 3, 3)
-    g2 = gamma2(psi).mat
+    g2 = tensor_gamma_k(psi, 2)
     M = 3
     swap = np.zeros((M * M, M * M))
     for x in range(M):
@@ -111,6 +116,9 @@ def test_gamma2_supported_on_symmetric_subspace(rng):
             swap[y * M + x, x * M + y] = 1.0
     assert np.allclose(swap @ g2, g2, atol=1e-12)
     assert np.allclose(g2 @ swap, g2, atol=1e-12)
+    S = pair_isometry(M)
+    assert np.allclose(S.T @ S, np.eye(M * (M + 1) // 2), atol=1e-15)
+    assert np.allclose(S @ S.T @ g2 @ S @ S.T, g2, atol=1e-12)
 
 
 def test_indicator_values_pure_state(rng, grid6):

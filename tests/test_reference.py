@@ -12,7 +12,10 @@ in alpha(0) or phi(t) fails here first. The header, record 0 and the
 columns that depend only on the initial state and the Hartree flow
 (`BITWISE_COLUMNS`) must match byte for byte; the columns that follow the
 propagated N-body state are compared at the benchmark's 1e-10 absolute
-tolerance.
+tolerance. E2 and R2 of record 0 are exempt from the byte comparison
+(`PAIR_SPACE_COLUMNS`): they are rounding noise around the exact 0 of a
+product state, and gamma2 on the symmetric pair space rounds differently
+from the tensor-space gamma2 the reference was frozen with.
 """
 import math
 import os
@@ -42,6 +45,7 @@ ENVELOPE_COLUMNS = ("phi_t", "alpha_bound", "beta_bound", "slack_alpha")
 ENVELOPE_RTOL = 1e-12
 ABS_TOL = 1e-10
 BITWISE_COLUMNS = ("t", "N", "M", "Ephi", "phi_t", "alpha_bound", "beta_bound")
+PAIR_SPACE_COLUMNS = ("E2", "R2")
 
 
 def _path(name: str) -> str:
@@ -80,7 +84,9 @@ def test_run_matches_benchmark_reference_bitwise():
     ref_rows = ref_rows[:11]
     assert header == ref_header
     assert len(rows) == len(ref_rows)
-    assert rows[0] == ref_rows[0]
+    for col, got, want in zip(header, rows[0], ref_rows[0]):
+        if col not in PAIR_SPACE_COLUMNS:
+            assert got == want, (col, got, want)
     for row, ref in zip(rows, ref_rows):
         for col, got, want in zip(header, row, ref):
             if col in BITWISE_COLUMNS:

@@ -1,4 +1,5 @@
-"""Smoke tests: each experiment script runs to completion on a small case."""
+"""Smoke tests: the experiment script runs to completion on a small case
+and maps each failure to its exit code."""
 import os
 import subprocess
 import sys
@@ -41,6 +42,18 @@ def test_envelope_check_rejects_particles_list():
     assert "Traceback" not in proc.stderr
 
 
+def test_envelope_check_reports_numerical_failure():
+    # an absurd dt leaves the Krylov exponential unconverged at maxdim;
+    # exit 1 would read as "envelope violated"
+    proc = run_script(
+        "envelope_check.py", "--sites", "6", "--particles", "3",
+        "--tfinal", "1000000", "--dt", "1000000", "--stride", "1",
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("numerical failure: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_envelope_check_reports_run_config_errors_as_usage():
     # the basis cap is checked inside the run, after the flags parse;
     # exit 1 would read as "envelope violated"
@@ -48,9 +61,3 @@ def test_envelope_check_reports_run_config_errors_as_usage():
     assert proc.returncode == 2
     assert "above the cap" in proc.stderr.splitlines()[-1]
     assert "Traceback" not in proc.stderr
-
-
-def test_eta_table_runs():
-    proc = run_script("eta_table.py", "--points", "4")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1].split() == ["2", "1/2", "2.000000", "0.500000"]
