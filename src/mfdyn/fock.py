@@ -6,6 +6,7 @@ normalized Fock vector are consistent.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -103,14 +104,19 @@ def annihilate_all(
     return coef * amps[..., rows], sub
 
 
+@functools.cache
 def pair_modes(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The modes of the symmetric two-particle space: the site pairs x <= y
     in row-major order, and the weight sqrt(2) (x < y) or 1 (x = y) that
     makes (e_x (x) e_y + e_y (x) e_x) / weight a unit vector for x < y and
     e_x (x) e_x for x = y. gamma2 and the pair condensate vector are written
-    in this order."""
+    in this order. Made once per M and shared by every caller, so the
+    arrays are read-only."""
     x, y = np.triu_indices(M)
-    return x, y, np.where(x < y, np.sqrt(2.0), 1.0)
+    modes = (x, y, np.where(x < y, np.sqrt(2.0), 1.0))
+    for a in modes:
+        a.flags.writeable = False
+    return modes
 
 
 def _pair_map(basis: OccupationBasis):

@@ -135,10 +135,7 @@ class HartreeStepper:
         psi = np.fft.ifft(self._kin_half * np.fft.fft(values))
         wphi = (self.grid.spacing * (self._W @ np.abs(psi) ** 2)).real
         psi = psi * np.exp(-1j * self.dt * (self._v_values(t + 0.5 * self.dt) + wphi))
-        psi = np.fft.ifft(self._kin_half * np.fft.fft(psi))
-        if not np.all(np.isfinite(psi)):
-            raise NumericalFailure(f"Hartree step produced nonfinite amplitudes at t={t}")
-        return psi
+        return np.fft.ifft(self._kin_half * np.fft.fft(psi))
 
 
 def evolve_hartree(
@@ -150,14 +147,19 @@ def evolve_hartree(
     steps: int,
 ) -> np.ndarray:
     """Integrate the Hartree equation: a (steps + 1, M) array whose row k
-    holds the orbital's values at t = k * dt. Every row is checked to be
-    normalized, as an `Orbital` would be."""
+    holds the orbital's values at t = k * dt. The whole flow is checked
+    once: the first step that produced a nonfinite amplitude is named, and
+    every row must be normalized, as an `Orbital` would be."""
     stepper = HartreeStepper(grid, v, w, dt)
     flow = np.empty((steps + 1, grid.sites), dtype=complex)
     flow[0] = phi0.values
     for k in range(steps):
         flow[k + 1] = stepper.step(flow[k], k * dt)
     drift = np.abs(grid.spacing * np.sum(np.abs(flow) ** 2, axis=1) - 1.0)
+    finite = np.isfinite(drift)  # a nonfinite amplitude makes its row's sum nonfinite
+    if not finite.all():
+        k = int(np.argmin(finite)) - 1
+        raise NumericalFailure(f"Hartree step produced nonfinite amplitudes at t={k * dt}")
     if np.max(drift) > ORBITAL_NORM_TOL:
         k = int(np.argmax(drift))
         raise NumericalFailure(

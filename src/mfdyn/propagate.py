@@ -1,6 +1,7 @@
 """Unitary time evolution of a many-body state and expectation values."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,9 @@ from .fock import ManyBodyState
 DENSE_EIG_CAP = 3000
 KRYLOV_MAXDIM = 40
 UNITARITY_TOL = 1e-8
+# allowance on |y_j[-1]| for the roundoff of eigh's small exponential, which
+# is O(j eps) for j <= KRYLOV_MAXDIM when dt ||T_j|| < 1
+_EIGH_ROUNDOFF = 1e-12
 METHODS = ("krylov", "dense")  # NBodyStepper's routes; the first is the default
 
 
@@ -50,43 +54,67 @@ def lanczos_expm_apply(H, v: np.ndarray, dt: float, maxdim: int, tol: float) -> 
     Stops when the standard residual estimate beta_{j+1} |y_j| drops below
     tol, or on happy breakdown; raises if maxdim is reached unconverged.
     """
-    V = np.empty((maxdim, v.shape[0]), dtype=complex)
+    V = np.empty((2, maxdim, v.shape[0]), dtype=complex)
     return _lanczos_expm(H, v, dt, tol, V, np.zeros((maxdim, maxdim)))
 
 
 def _lanczos_expm(H, v, dt, tol, V, T) -> np.ndarray:
-    """`lanczos_expm_apply` with maxdim = len(V) in caller-owned workspace:
-    V (maxdim, dim) complex for the Lanczos vectors, and T (maxdim, maxdim)
-    real, zero off its tridiagonal band, which this fills in place. Every
-    entry read is written first, so the workspace serves call after call."""
-    nrm = np.linalg.norm(v)
-    if nrm == 0:
+    """`lanczos_expm_apply` with maxdim = V.shape[1] in caller-owned workspace:
+    V (2, maxdim, dim) complex holds the Lanczos vectors in V[0] and their
+    complex conjugates in V[1], and T (maxdim, maxdim) real, zero off its
+    tridiagonal band, is filled in place. Every entry read is written first,
+    so the workspace serves call after call. A zero or nonfinite v is
+    returned as it is.
+
+    Each new vector is orthogonalised against the basis by classical
+    Gram-Schmidt twice, h = conj(V) w then w -= h V, with T[j, j] from the
+    first pass. The small eigh is skipped at every j where a Taylor bound
+    already proves the residual estimate at or above tol. |y_j[-1]| does
+    not change when T_j is shifted by c times the identity, so with x = dt
+    times the half-width of T_j's Gershgorin interval, which bounds
+    dt ||T_j - c|| for its midpoint c, and x < 1,
+        |y_j[-1]| >= dt^(j-1) prod(beta_i) / (j-1)! - x^j e^x / j!,
+    less _EIGH_ROUNDOFF for the roundoff of eigh's y. So the stopping
+    dimension is the one eigh alone gives, and the returned y comes from
+    eigh of the final T_j.
+    """
+    nrm = math.sqrt(np.vdot(v, v).real)
+    if nrm == 0 or not math.isfinite(nrm):
         return v.copy()
-    maxdim = V.shape[0]
-    np.divide(v, nrm, out=V[0])
-    w = H @ V[0]
-    T[0, 0] = np.real(np.vdot(V[0], w))
-    w -= T[0, 0] * V[0]
+    B, Bc = V
+    maxdim = B.shape[0]
+    adt = abs(dt)
+    np.multiply(v, 1.0 / nrm, out=B[0])
+    np.conjugate(B[0], out=Bc[0])
+    lead = 1.0  # dt^(j-1) prod(beta_i) / (j-1)!
+    lo, hi = math.inf, -math.inf  # Gershgorin interval of T_j's complete rows
+    b = 0.0
     for j in range(1, maxdim + 1):
-        b = np.linalg.norm(w)
-        if j == 1:
-            y = np.exp(-1j * dt * T[:1, 0])
-        else:
+        w = H @ B[j - 1]
+        h = Bc[:j] @ w
+        w -= h @ B[:j]
+        w -= (Bc[:j] @ w) @ B[:j]
+        a = T[j - 1, j - 1] = float(h[j - 1].real)
+        b_prev, b = b, math.sqrt(np.vdot(w, w).real)
+        x = 0.5 * adt * (max(hi, a + b_prev) - min(lo, a - b_prev))
+        lo, hi = min(lo, a - b_prev - b), max(hi, a + b_prev + b)
+        unconverged = (
+            b >= 1e-14
+            and x < 1.0
+            and b * adt * (lead - x**j * math.exp(x) / math.factorial(j) - _EIGH_ROUNDOFF)
+            >= tol
+        )
+        if not unconverged:
             lam, U = np.linalg.eigh(T[:j, :j])
             y = U @ (np.exp(-1j * dt * lam) * U[0])
-        if b < 1e-14 or b * abs(y[-1]) * abs(dt) < tol:
-            return nrm * (y @ V[:j])
+            if b < 1e-14 or b * abs(y[-1]) * adt < tol:
+                return nrm * (y @ B[:j])
         if j == maxdim:
             break
         T[j - 1, j] = T[j, j - 1] = b
-        np.divide(w, b, out=V[j])
-        w = H @ V[j]
-        w -= b * V[j - 1]
-        T[j, j] = np.real(np.vdot(V[j], w))
-        w -= T[j, j] * V[j]
-        # full reorthogonalization; cheap at desk-scale subspace sizes.
-        # conj(V) w is taken as conj(V conj(w)), which copies no block of V.
-        w -= np.conj(V[: j + 1] @ np.conj(w)) @ V[: j + 1]
+        lead *= adt * b / j
+        np.multiply(w, 1.0 / b, out=B[j])
+        np.conjugate(B[j], out=Bc[j])
     raise NumericalFailure(
         f"Lanczos exponential did not converge within maxdim={maxdim}"
     )
@@ -109,7 +137,7 @@ class NBodyStepper:
             Hd = H.toarray() if sp.issparse(H) else np.asarray(H)
             self.evals, self.evecs = np.linalg.eigh(Hd)
         else:
-            self._V = np.empty((KRYLOV_MAXDIM, H.shape[0]), dtype=complex)
+            self._V = np.empty((2, KRYLOV_MAXDIM, H.shape[0]), dtype=complex)
             self._T = np.zeros((KRYLOV_MAXDIM, KRYLOV_MAXDIM))
 
     def step(self, amps: np.ndarray) -> np.ndarray:
@@ -120,10 +148,12 @@ class NBodyStepper:
             out = _lanczos_expm(
                 self.H, amps, self.cfg.dt, self.cfg.krylov_tol, self._V, self._T
             )
-        if not np.all(np.isfinite(out)):
-            raise NumericalFailure("propagation produced nonfinite amplitudes")
-        if abs(np.linalg.norm(out) - 1.0) > UNITARITY_TOL:
+        # one norm decides both checks: a nonfinite amplitude makes it nonfinite
+        norm = math.sqrt(np.vdot(out, out).real)
+        if not abs(norm - 1.0) <= UNITARITY_TOL:
+            if not math.isfinite(norm):
+                raise NumericalFailure("propagation produced nonfinite amplitudes")
             raise NumericalFailure(
-                f"norm drifted to {np.linalg.norm(out)} beyond the unitarity tolerance"
+                f"norm drifted to {norm} beyond the unitarity tolerance"
             )
         return out

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfdyn.errors import ConfigError
+from mfdyn.errors import ConfigError, NumericalFailure
 from mfdyn.lattice import Grid, LatticeField, sample_interaction
 from mfdyn.onebody import (
     HartreeStepper,
@@ -172,6 +174,23 @@ def test_flow_array_equals_stepping_by_hand(grid8, drive):
         vals = stepper.step(vals, k * dt)
         assert np.array_equal(flow[k + 1], vals), k
         Orbital(grid8, flow[k + 1])
+
+
+@pytest.mark.parametrize("k", [0, 7, 19])
+def test_flow_names_the_first_nonfinite_step(monkeypatch, grid6, gaussian_w, k):
+    # the steps themselves no longer check; evolve_hartree checks the whole
+    # flow once and names the step that first produced a nonfinite amplitude
+    dt, steps = 1e-2, 20
+    step = HartreeStepper.step
+
+    def step_nan_from_k(self, values, t):
+        out = step(self, values, t)
+        return np.full_like(out, np.nan) if t >= k * dt else out
+
+    monkeypatch.setattr(HartreeStepper, "step", step_nan_from_k)
+    phi0 = gaussian_orbital(grid6, x0=2.0, sigma=0.8)
+    with pytest.raises(NumericalFailure, match=re.escape(f"nonfinite amplitudes at t={k * dt}")):
+        evolve_hartree(grid6, None, gaussian_w, phi0, dt, steps)
 
 
 def test_stepper_rejects_bad_dt(grid6, gaussian_w):

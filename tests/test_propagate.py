@@ -1,13 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from mfdyn.errors import ConfigError, NumericalFailure
 from mfdyn.fock import ManyBodyState, build_HN, enumerate_basis, product_state
 from mfdyn.harness import make_config, run_simulation
 from mfdyn.lattice import Grid, sample_interaction
-from mfdyn.onebody import build_h
+from mfdyn.onebody import build_h, gaussian_orbital
 from mfdyn.propagate import (
+    KRYLOV_MAXDIM,
     NBodyStepper,
     PropagatorConfig,
     expectation,
@@ -80,6 +84,133 @@ def test_step_loop_never_calls_scipy_expm(monkeypatch):
     assert len(run_simulation(cfg).records) == 5
 
 
+def three_term_lanczos_expm(H, v, dt, maxdim, tol):
+    """The oracle for the stopping rule: Lanczos by the three-term
+    recurrence plus one full reorthogonalisation pass, with an eigh of T_j
+    at every j, as the propagator ran before it skipped provably
+    unconverged checks."""
+    V = np.empty((maxdim, v.shape[0]), dtype=complex)
+    T = np.zeros((maxdim, maxdim))
+    nrm = np.linalg.norm(v)
+    if nrm == 0:
+        return v.copy()
+    np.divide(v, nrm, out=V[0])
+    w = H @ V[0]
+    T[0, 0] = np.real(np.vdot(V[0], w))
+    w -= T[0, 0] * V[0]
+    for j in range(1, maxdim + 1):
+        b = np.linalg.norm(w)
+        if j == 1:
+            y = np.exp(-1j * dt * T[:1, 0])
+        else:
+            lam, U = np.linalg.eigh(T[:j, :j])
+            y = U @ (np.exp(-1j * dt * lam) * U[0])
+        if b < 1e-14 or b * abs(y[-1]) * abs(dt) < tol:
+            return nrm * (y @ V[:j])
+        if j == maxdim:
+            break
+        T[j - 1, j] = T[j, j - 1] = b
+        np.divide(w, b, out=V[j])
+        w = H @ V[j]
+        w -= b * V[j - 1]
+        T[j, j] = np.real(np.vdot(V[j], w))
+        w -= T[j, j] * V[j]
+        w -= np.conj(V[: j + 1] @ np.conj(w)) @ V[: j + 1]
+    raise NumericalFailure(f"Lanczos exponential did not converge within maxdim={maxdim}")
+
+
+class CountingOperator:
+    """H with a count of the products H @ v taken through it."""
+
+    def __init__(self, H):
+        self.H, self.shape, self.products = H, H.shape, 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.H @ v
+
+
+def random_hermitian(rng, dim):
+    A = sp.random(dim, dim, density=min(1.0, 5.0 / dim), format="csr", rng=rng)
+    A = A + 1j * sp.random(dim, dim, density=min(1.0, 5.0 / dim), format="csr", rng=rng)
+    return (A + A.conj().T).tocsr()
+
+
+def run_counted(f, H, v, dt, tol, maxdim=KRYLOV_MAXDIM):
+    op = CountingOperator(H)
+    try:
+        return f(op, v, dt, maxdim, tol), op.products
+    except NumericalFailure as exc:
+        return exc, op.products
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-8])
+@pytest.mark.parametrize("dt", [1e-3, 0.05, 1.0, 50.0])
+@pytest.mark.parametrize("dim", [1, 2, 5, 40, 330])
+def test_stopping_dimension_matches_three_term_oracle(monkeypatch, rng, dim, dt, tol):
+    # skipping the small eigh where a bound proves the step unconverged may
+    # not move the stopping dimension: the same products, the same result
+    H = random_hermitian(rng, dim)
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    eigh, eighs = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda T: eighs.append(T.shape) or eigh(T))
+    got, n_got = run_counted(lanczos_expm_apply, H, v, dt, tol)
+    if dt == 1e-3:  # dt ||H|| << 1: the bound decides every check but the last
+        assert eighs == [(n_got, n_got)]
+    monkeypatch.undo()
+    want, n_want = run_counted(three_term_lanczos_expm, H, v, dt, tol)
+    assert n_got == n_want, (n_got, n_want)
+    if isinstance(want, NumericalFailure):
+        assert isinstance(got, NumericalFailure) and str(got) == str(want)
+    else:
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_one_eigh_per_step_on_a_lattice_hamiltonian(monkeypatch):
+    # H_N's diagonal sits far from 0 (||T_j|| is about 10 at M=8, N=4), so
+    # the bound decides every check before the last only on T_j - c
+    grid = Grid(8, 1.0)
+    w = sample_interaction(grid, "gaussian", lam=1.0, sigma=1.0)
+    basis = enumerate_basis(8, 4)
+    H = build_HN(build_h(grid), w, basis)
+    amps = product_state(gaussian_orbital(grid, 3.0, 1.0), basis).amps
+    stepper = NBodyStepper(H, PropagatorConfig(dt=1e-3, steps=20, krylov_tol=1e-12))
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda T: calls.append(T.shape) or eigh(T))
+    for _ in range(20):
+        amps = stepper.step(amps)
+    assert len(calls) == 20
+
+
+@pytest.mark.parametrize("dt", [50.0, 1e6])
+def test_large_dt_still_ends_in_the_maxdim_failure(rng, dt):
+    # dt ||T|| >= 1 leaves the Taylor bound unused (its x^j e^x would
+    # overflow at dt = 1e6), so every j takes the eigh route, and an
+    # unconverged subspace still raises after maxdim products
+    H = random_hermitian(rng, 330)
+    v = rng.normal(size=330) + 1j * rng.normal(size=330)
+    for f in (lanczos_expm_apply, three_term_lanczos_expm):
+        failure, products = run_counted(f, H, v, dt, 1e-8)
+        assert isinstance(failure, NumericalFailure)
+        assert "maxdim=40" in str(failure) and products == KRYLOV_MAXDIM
+
+
+def test_bound_keeps_a_stop_its_leading_term_would_miss():
+    # Off resonance, |y_3[-1]| lies below its leading Taylor term. With tol
+    # between the two, the step must stop at j = 3: a bound without the
+    # remainder x^j e^x / j! would skip that check and take a fourth product.
+    dt, beta = 0.05, 1.0
+    T = np.diag([0.0, 10.0, 20.0, 30.0, 40.0]) + np.diag([beta] * 4, 1) + np.diag([beta] * 4, -1)
+    e1 = np.eye(5, dtype=complex)[0]
+    true = abs(scipy.linalg.expm(-1j * dt * T[:3, :3])[2, 0])
+    lead = dt**2 * beta**2 / 2
+    assert true < lead
+    tol = beta * dt * (true + lead) / 2
+    for f in (lanczos_expm_apply, three_term_lanczos_expm):
+        _, products = run_counted(f, T, e1, dt, tol)
+        assert products == 3, f
+
+
 def test_lanczos_zero_vector(small_system):
     H, psi0 = small_system
     z = np.zeros_like(psi0.amps)
@@ -148,6 +279,27 @@ def test_stepper_detects_norm_drift(small_system):
     stepper = NBodyStepper(H, PropagatorConfig(dt=1e-2, steps=1))
     with pytest.raises(NumericalFailure):
         stepper.step(2.0 * psi0.amps)  # non-normalized input trips the check
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("method", ["krylov", "dense"])
+def test_stepper_names_nonfinite_amplitudes(small_system, method):
+    H, psi0 = small_system
+    stepper = NBodyStepper(H, PropagatorConfig(dt=1e-2, steps=1, method=method))
+    for bad in (np.nan, np.inf):
+        amps = psi0.amps.copy()
+        amps[1] = bad
+        with pytest.raises(NumericalFailure, match="nonfinite amplitudes"):
+            stepper.step(amps)
+
+
+@pytest.mark.parametrize("method", ["krylov", "dense"])
+def test_stepper_unitarity_tolerance(small_system, method):
+    H, psi0 = small_system
+    stepper = NBodyStepper(H, PropagatorConfig(dt=1e-2, steps=1, method=method))
+    with pytest.raises(NumericalFailure, match=re.escape("beyond the unitarity tolerance")):
+        stepper.step((1.0 + 1e-6) * psi0.amps)
+    assert abs(np.linalg.norm(stepper.step(psi0.amps)) - 1.0) < 1e-12
 
 
 def test_manybody_state_shape_check():

@@ -15,7 +15,7 @@ from mfdyn.checks import (
     tensor_gamma2,
 )
 from mfdyn.errors import ConfigError, NumericalFailure
-from mfdyn.fock import ManyBodyState, build_HN, enumerate_basis, product_state
+from mfdyn.fock import ManyBodyState, build_HN, enumerate_basis, pair_modes, product_state
 from mfdyn.lattice import Grid, sample_interaction
 from mfdyn.onebody import Orbital, build_h
 from mfdyn.propagate import NBodyStepper, PropagatorConfig
@@ -136,6 +136,27 @@ def test_indicator_zero_on_condensate(rng, grid6):
     g = DensityMatrix(1, np.outer(phi.mode, phi.mode.conj()))
     assert abs(E_k(g, phi)) < 1e-12
     assert R_k(g, phi) < 1e-6  # sqrt roundoff of eigensolver
+
+
+def test_pair_modes_are_made_once_and_read_only(rng, grid6):
+    # E_k and R_k share one set of pair arrays per M; no caller may write them
+    modes = pair_modes(6)
+    assert pair_modes(6) is modes
+    for a in modes:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = a[0]
+    # on the shared arrays, E_2 and R_2 equal the same formulas evaluated on
+    # a pair vector built afresh from np.triu_indices
+    g2 = gamma2(random_state(rng, 6, 3))
+    phi = random_orbital(rng, grid6)
+    x, y = np.triu_indices(6)
+    uk = np.where(x < y, np.sqrt(2.0), 1.0) * phi.mode[x] * phi.mode[y]
+    e2 = float(1.0 - np.real(np.vdot(uk, g2.mat @ uk)))
+    r2 = float(np.sum(np.abs(np.linalg.eigvalsh(g2.mat - np.outer(uk, uk.conj())))))
+    for _ in range(2):
+        assert E_k(g2, phi) == e2
+        assert R_k(g2, phi) == r2
 
 
 def test_indicator_dimension_check(rng, grid6):
