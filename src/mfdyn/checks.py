@@ -1,8 +1,9 @@
 """Runnable invariant suites backing the `check` CLI subcommand, and the
 first-quantised reference they and the tests compare against: the dense
 tensor-space Hamiltonian and symmetrizer, the occupation-to-tensor and
-pair-to-tensor isometries, tensor sector projectors, and the hierarchy and
-mean-field residuals. No run imports this module.
+pair-to-tensor isometries, tensor sector projectors, the hierarchy and
+mean-field residuals, and exact N-body propagation. No run imports this
+module.
 
 Each suite returns CheckResult rows with measured residuals; a suite passes
 iff every row does.
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 
 from .bounds import eta_of, p0_of
 from .errors import ConfigError
@@ -92,6 +94,16 @@ def dense_oracle(h: np.ndarray, w: LatticeField, M: int, N: int):
             diag += W[flat[:, i], flat[:, j]]
     H += np.diag(diag) / N
     return H, symmetrizer(M, N)
+
+
+def exact_propagator(H, dt: float) -> np.ndarray:
+    """exp(-i dt H) as a dense matrix, from one eigendecomposition of the
+    Hermitian H: the exact reference for `propagate.NBodyStepper`."""
+    dim = H.shape[0]
+    if dim > DENSE_ORACLE_CAP:
+        raise ConfigError(f"exact propagation size {dim} exceeds cap {DENSE_ORACLE_CAP}")
+    lam, U = np.linalg.eigh(H.toarray() if sp.issparse(H) else np.asarray(H))
+    return (U * np.exp(-1j * dt * lam)) @ U.conj().T
 
 
 def occupation_to_tensor_isometry(basis: OccupationBasis) -> np.ndarray:

@@ -25,7 +25,6 @@ from .harness import (
     run_simulation,
     sweep_N,
 )
-from .propagate import METHODS
 
 
 def _spec_help(kinds: dict) -> str:
@@ -41,7 +40,6 @@ _HELP = {
     "interaction": _spec_help(INTERACTIONS),
     "initial": _spec_help(INITIALS),
     "p": "exponent for eta, e.g. 3/2 or 1.5",
-    "method": " | ".join(METHODS),
 }
 
 

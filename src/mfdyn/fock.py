@@ -197,6 +197,9 @@ def second_quantize_onebody(
     The values are filled into the basis's cached CSR pattern. Entries that
     come out zero are dropped and -0.0 parts become +0.0, so the result
     equals, bit for bit, the sparse sum of the hop matrix and the diagonals.
+    Hop amplitudes are at least 1, so a hop is zero exactly where its
+    entry of A is: zeros are looked for on A and the diagonal, not on
+    every CSR entry.
     """
     A = np.asarray(A)
     if A.shape != (basis.sites, basis.sites):
@@ -207,12 +210,15 @@ def second_quantize_onebody(
     diag = basis.states.astype(complex) @ np.diag(A).astype(complex)
     if extra_diag is not None:
         diag += extra_diag
-    data = np.empty(indices.size, dtype=complex)
-    np.multiply(A.ravel()[ij], amps, out=data)
+    flat = A.astype(complex).ravel()
+    data = flat.take(ij)
+    data *= amps
     data[diag_pos] = diag
     data += 0.0
-    keep = data != 0
-    if not keep.all():
+    zero_hops = flat == 0
+    zero_hops[:: basis.sites + 1] = False  # A's diagonal enters through `diag` only
+    if zero_hops.any() or not diag.all():
+        keep = data != 0
         data, indices = data[keep], indices[keep]
         indptr = np.concatenate([[0], np.cumsum(keep)])[indptr]
     return sp.csr_matrix((data, indices, indptr), shape=(basis.dim, basis.dim))

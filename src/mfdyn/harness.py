@@ -35,7 +35,7 @@ from .onebody import (
     ground_state,
     harmonic_potential,
 )
-from .propagate import METHODS, NBodyStepper, PropagatorConfig
+from .propagate import NBodyStepper, PropagatorConfig
 from .reduce import E_k, R_k, gamma1, gamma2
 
 # Spec strings 'kind:a,b': {kind: parameter names}.
@@ -67,7 +67,6 @@ class RunConfig:
     p: str = "3/2"
     dim: int = 3
     K: float = 1.0
-    method: str = METHODS[0]
     out: str = ""
 
     def __post_init__(self):
@@ -92,8 +91,6 @@ class RunConfig:
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"p: {exc}") from None
         eta_of(p, self.dim)  # validates p against (p0, 2]
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}")
         _parse_spec(self.potential, POTENTIALS, "potential")
         _parse_spec(self.interaction, INTERACTIONS, "interaction")
         if self.initial:
@@ -312,13 +309,7 @@ def run_simulation(cfg: RunConfig, side: HartreeSide | None = None) -> RunResult
     H = build_HN(h, w, basis)
     eta = float(cfg.eta)
 
-    pcfg = PropagatorConfig(
-        dt=cfg.dt,
-        steps=cfg.steps,
-        method=cfg.method,
-        krylov_tol=1e-12,
-    )
-    stepper = NBodyStepper(H, pcfg)
+    stepper = NBodyStepper(H, PropagatorConfig(dt=cfg.dt, steps=cfg.steps, krylov_tol=1e-12))
 
     amps = product_state(side.orbitals[0], basis).amps
     records: list[TimeRecord] = []

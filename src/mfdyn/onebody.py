@@ -33,7 +33,7 @@ class Orbital:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
         nrm2 = self.grid.spacing * np.sum(np.abs(vals) ** 2)
-        if abs(nrm2 - 1.0) > ORBITAL_NORM_TOL:
+        if not abs(nrm2 - 1.0) <= ORBITAL_NORM_TOL:  # NaN fails too
             raise ConfigError(f"orbital is not normalized: |phi|^2 = {nrm2}")
         object.__setattr__(self, "values", vals)
 

@@ -5,25 +5,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, NumericalFailure
 from .fock import ManyBodyState
 
-DENSE_EIG_CAP = 3000
 KRYLOV_MAXDIM = 40
+MAX_HALVINGS = 10  # NBodyStepper splits a step into at most 2^MAX_HALVINGS
 UNITARITY_TOL = 1e-8
 # allowance on |y_j[-1]| for the roundoff of eigh's small exponential, which
 # is O(j eps) for j <= KRYLOV_MAXDIM when dt ||T_j|| < 1
 _EIGH_ROUNDOFF = 1e-12
-METHODS = ("krylov", "dense")  # NBodyStepper's routes; the first is the default
 
 
 @dataclass(frozen=True)
 class PropagatorConfig:
     dt: float
     steps: int
-    method: str = METHODS[0]
+    method: str = "krylov"  # the only propagator; kept for callers that name it
     krylov_tol: float = 1e-10
 
     def __post_init__(self):
@@ -31,7 +29,7 @@ class PropagatorConfig:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.steps < 0:
             raise ConfigError(f"steps must be nonnegative, got {self.steps}")
-        if self.method not in METHODS:
+        if self.method != "krylov":
             raise ConfigError(f"unknown propagator method {self.method!r}")
 
 
@@ -121,33 +119,33 @@ def _lanczos_expm(H, v, dt, tol, V, T) -> np.ndarray:
 
 
 class NBodyStepper:
-    """One exp(-i dt H) step, method per PropagatorConfig: adaptive Lanczos
-    in a workspace made here and reused by every step, or exact propagation
-    from one eigendecomposition of H made here."""
+    """One exp(-i dt H) step by adaptive Lanczos, in a workspace made here
+    and reused by every step.
+
+    A step whose Krylov space reaches KRYLOV_MAXDIM unconverged is applied
+    as 2^k equal sub-steps instead, with the smallest k <= MAX_HALVINGS at
+    which a sub-step converges; the remaining sub-steps start at that k.
+    Only an unconverged sub-step of dt / 2^MAX_HALVINGS raises."""
 
     def __init__(self, H, cfg: PropagatorConfig):
         self.H = H
         self.cfg = cfg
-        self.evals = self.evecs = None
-        if cfg.method == "dense":
-            if H.shape[0] > DENSE_EIG_CAP:
-                raise ConfigError(
-                    f"dense method allowed only for dim <= {DENSE_EIG_CAP}, got {H.shape[0]}"
-                )
-            Hd = H.toarray() if sp.issparse(H) else np.asarray(H)
-            self.evals, self.evecs = np.linalg.eigh(Hd)
-        else:
-            self._V = np.empty((2, KRYLOV_MAXDIM, H.shape[0]), dtype=complex)
-            self._T = np.zeros((KRYLOV_MAXDIM, KRYLOV_MAXDIM))
+        self._V = np.empty((2, KRYLOV_MAXDIM, H.shape[0]), dtype=complex)
+        self._T = np.zeros((KRYLOV_MAXDIM, KRYLOV_MAXDIM))
 
     def step(self, amps: np.ndarray) -> np.ndarray:
-        if self.evecs is not None:
-            c = self.evecs.conj().T @ amps
-            out = self.evecs @ (np.exp(-1j * self.cfg.dt * self.evals) * c)
-        else:
-            out = _lanczos_expm(
-                self.H, amps, self.cfg.dt, self.cfg.krylov_tol, self._V, self._T
-            )
+        out, k, left = amps, 0, 1  # left: sub-steps of dt / 2^k still to apply
+        while left:
+            try:
+                out = _lanczos_expm(
+                    self.H, out, self.cfg.dt / 2**k, self.cfg.krylov_tol, self._V, self._T
+                )
+            except NumericalFailure as exc:
+                if k == MAX_HALVINGS:
+                    raise NumericalFailure(f"{exc}, even in 2^{k} sub-steps") from None
+                k, left = k + 1, 2 * left
+                continue
+            left -= 1
         # one norm decides both checks: a nonfinite amplitude makes it nonfinite
         norm = math.sqrt(np.vdot(out, out).real)
         if not abs(norm - 1.0) <= UNITARITY_TOL:

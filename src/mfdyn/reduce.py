@@ -35,9 +35,10 @@ class DensityMatrix:
             raise ConfigError(f"only k in {{1, 2}} is supported, got {self.k}")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConfigError("density matrix must be square")
-        if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
+        # `not <=`, so that a NaN entry fails both checks
+        if not np.max(np.abs(m - m.conj().T)) <= HERM_TOL:
             raise NumericalFailure("density matrix is not Hermitian within tolerance")
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL:
+        if not abs(np.trace(m).real - 1.0) <= TRACE_TOL:
             raise NumericalFailure(f"density matrix trace {np.trace(m)} is not 1")
         object.__setattr__(self, "mat", m)
 

@@ -10,6 +10,7 @@ from mfdyn.checks import dense_oracle, occupation_to_tensor_isometry, symmetrize
 from mfdyn.errors import ConfigError
 from mfdyn.fock import (
     ManyBodyState,
+    _onebody_pattern,
     annihilate_all,
     annihilate_pairs,
     build_HN,
@@ -136,6 +137,50 @@ def test_csr_fill_is_bit_identical_to_sparse_sum(rng, M, N):
         assert_same_csr(build_HN(h, w, basis), sparse_sum_route(h, basis, pair), rng)
         if M >= 4:  # hops between non-neighbours are zero and dropped
             assert dh.nnz < n_entries
+
+
+def masked_fill(A, basis, extra_diag=None):
+    """The pattern fill that finds zeros with a mask over every CSR entry:
+    the reference for the fill that finds them on A and the diagonal."""
+    indptr, indices, ij, amps, diag_pos = _onebody_pattern(basis)
+    diag = basis.states.astype(complex) @ np.diag(A).astype(complex)
+    if extra_diag is not None:
+        diag += extra_diag
+    data = np.empty(indices.size, dtype=complex)
+    np.multiply(A.ravel()[ij], amps, out=data)
+    data[diag_pos] = diag
+    data += 0.0
+    keep = data != 0
+    if not keep.all():
+        data, indices = data[keep], indices[keep]
+        indptr = np.concatenate([[0], np.cumsum(keep)])[indptr]
+    return sp.csr_matrix((data, indices, indptr), shape=(basis.dim, basis.dim))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
+def test_fill_finds_zeros_as_the_masked_fill_does(rng, N):
+    M = 5
+    basis = enumerate_basis(M, N)
+    A = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))
+    A = A + A.conj().T
+    with_zeros = A.copy()
+    with_zeros[0, 2] = with_zeros[2, 0] = 0.0  # zero hops, dropped
+    with_zeros[1, 3] = -0.0
+    with_zeros[3, 1] = complex(-0.0, -0.0)
+    with_zeros[[0, 1], [0, 1]] = 0.0  # zero diagonal on states in sites 0, 1
+    signed = A.real.astype(complex)
+    signed.imag[:] = -0.0  # -0.0 imaginary parts, stored as +0.0
+    real = -np.abs(A.real)
+    real[4, 0] = -0.0
+    pair = rng.normal(size=basis.dim)
+    for B in (A, with_zeros, signed, real, np.zeros((M, M))):
+        for extra in (None, pair, -(basis.states @ np.diag(B)).astype(complex)):
+            got = second_quantize_onebody(B, basis, extra)
+            assert_same_csr(got, masked_fill(B, basis, extra), rng)
+    grid = Grid(M, 0.7)
+    h, w = build_h(grid), sample_interaction(grid, "random", seed=N)
+    pair = interaction_diagonal(w, basis).astype(complex) * (1 / N)
+    assert_same_csr(build_HN(h, w, basis), masked_fill(h, basis, pair), rng)
 
 
 def test_interaction_diagonal_two_particles_one_site():

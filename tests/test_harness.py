@@ -1,6 +1,5 @@
 import math
 import os
-import re
 import runpy
 import subprocess
 import sys
@@ -33,7 +32,6 @@ from mfdyn.harness import (
 )
 from mfdyn.lattice import Grid, LatticeField, lp_norm, sample_interaction
 from mfdyn.onebody import Orbital, build_h, evolve_hartree, hartree_energy
-from mfdyn.propagate import METHODS
 
 
 FAST = dict(sites=6, particles=3, tfinal=0.05, dt=5e-3, stride=5)
@@ -312,7 +310,7 @@ def test_cli_sweep_caps_only_the_N_it_runs(tmp_path):
     "argv",
     [
         ["simulate", "--sites", "abc"],
-        ["simulate", "--method", "foo"],
+        ["simulate", "--method", "dense"],  # exact stepping is mfdyn.checks' oracle
         ["simulate", "--p1", "x"],
         ["simulate", "--interaction", "gaussian:1,x"],
         ["sweep", "--particles-list", "2,x"],
@@ -331,13 +329,16 @@ def test_cli_sweep_caps_only_the_N_it_runs(tmp_path):
         ["simulate", "--potential", "harmonic:inf"],
         ["simulate", "--initial", "gaussian:nan,1"],
         ["simulate", "--initial", "gaussian:1,inf"],
+        ["simulate", "--config", "{method_cfg}"],
     ],
 )
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_cli_malformed_input_exits_1(argv, tmp_path, capsys):
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("sites = abc\n")
-    rc = main([a.format(bad_cfg=bad_cfg) for a in argv])
+    method_cfg = tmp_path / "method.cfg"
+    method_cfg.write_text("method = dense\n")
+    rc = main([a.format(bad_cfg=bad_cfg, method_cfg=method_cfg) for a in argv])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and len(err.splitlines()) == 1
@@ -355,14 +356,6 @@ def test_cli_help_names_every_spec_kind(capsys):
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
-def test_method_help_lists_the_propagator_methods(command, capsys):
-    with pytest.raises(SystemExit):
-        main([command, "--help"])
-    out = capsys.readouterr().out
-    assert re.search(r"--method METHOD\s+" + re.escape(" | ".join(METHODS)) + "\n", out)
-
-
-@pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_every_config_field_has_a_flag(command):
     for f in fields(RunConfig):
         args = build_parser().parse_args([command, "--" + f.name.replace("_", "-"), "7"])
@@ -375,7 +368,7 @@ def test_every_config_field_has_a_flag(command):
         ("sites", "6", 6),
         ("dx", "0.5", 0.5),
         ("p1", "inf", math.inf),
-        ("method", "dense", "dense"),
+        ("interaction", "softcoulomb:1,0.5", "softcoulomb:1,0.5"),
         ("particles_list", "2,3,4", (2, 3, 4)),
     ],
 )
@@ -419,6 +412,7 @@ MOVED_TO_CHECKS = {
         "bbgky_rhs_k1",
     ),
     "bounds": ("pair_interaction_expectation",),
+    "propagate": ("exact_propagator",),
 }
 
 

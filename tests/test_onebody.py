@@ -33,6 +33,12 @@ def test_orbital_normalization(grid6):
         Orbital.normalized(grid6, np.zeros(6))
 
 
+def test_orbital_rejects_nan():
+    # a NaN norm is not within any tolerance of 1
+    with pytest.raises(ConfigError, match="not normalized"):
+        Orbital(Grid(4, 1.0), [np.nan] * 4)
+
+
 def test_build_h_hermitian_and_potential(grid8):
     v = harmonic_potential(grid8, omega=2.0)
     h = build_h(grid8, v)

@@ -5,6 +5,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from mfdyn import propagate
+from mfdyn.checks import DENSE_ORACLE_CAP, exact_propagator
 from mfdyn.errors import ConfigError, NumericalFailure
 from mfdyn.fock import ManyBodyState, build_HN, enumerate_basis, product_state
 from mfdyn.harness import make_config, run_simulation
@@ -12,6 +14,7 @@ from mfdyn.lattice import Grid, sample_interaction
 from mfdyn.onebody import build_h, gaussian_orbital
 from mfdyn.propagate import (
     KRYLOV_MAXDIM,
+    MAX_HALVINGS,
     NBodyStepper,
     PropagatorConfig,
     expectation,
@@ -40,6 +43,8 @@ def test_config_validation():
         PropagatorConfig(dt=1e-3, steps=-1)
     with pytest.raises(ConfigError):
         PropagatorConfig(dt=1e-3, steps=1, method="magic")
+    with pytest.raises(ConfigError):
+        PropagatorConfig(dt=1e-3, steps=1, method="dense")  # exact stepping is in checks
 
 
 def test_expectation_energy_real(small_system):
@@ -226,25 +231,68 @@ def test_lanczos_unconverged_raises(small_system):
 
 def test_dense_eig_propagator_matches_expm(small_system):
     H, psi0 = small_system
-    stepper = NBodyStepper(H, PropagatorConfig(dt=0.3, steps=1, method="dense"))
-    got = stepper.step(psi0.amps)
+    got = exact_propagator(H, 0.3) @ psi0.amps
     want = scipy.linalg.expm(-1j * 0.3 * H.toarray()) @ psi0.amps
     assert np.allclose(got, want, atol=1e-11)
 
 
 def test_dense_eig_cap():
-    with pytest.raises(ConfigError):
-        NBodyStepper(np.eye(3001), PropagatorConfig(dt=1e-2, steps=1, method="dense"))
+    with pytest.raises(ConfigError, match="exceeds cap"):
+        exact_propagator(sp.identity(DENSE_ORACLE_CAP + 1, format="csr"), 1e-2)
 
 
 def test_krylov_and_dense_paths_agree(small_system):
     H, psi0 = small_system
     krylov = NBodyStepper(H, PropagatorConfig(dt=1e-2, steps=50, krylov_tol=1e-13))
-    dense = NBodyStepper(H, PropagatorConfig(dt=1e-2, steps=50, method="dense"))
+    exact = exact_propagator(H, 1e-2)
     amps_k = amps_d = psi0.amps
     for _ in range(50):
-        amps_k, amps_d = krylov.step(amps_k), dense.step(amps_d)
+        amps_k, amps_d = krylov.step(amps_k), exact @ amps_d
     assert np.allclose(amps_k, amps_d, atol=1e-10)
+
+
+@pytest.fixture(scope="module")
+def lattice_M8N4():
+    # the benchmark's sim-M8N4 problem: ||H|| is about 16.5
+    grid = Grid(8, 1.0)
+    w = sample_interaction(grid, "gaussian", lam=1.0, sigma=1.0)
+    basis = enumerate_basis(8, 4)
+    H = build_HN(build_h(grid), w, basis)
+    return H, product_state(gaussian_orbital(grid, 4.0, 1.0), basis).amps
+
+
+@pytest.mark.parametrize("dt", [5.0, 50.0])
+def test_long_steps_split_and_match_the_exact_oracle(monkeypatch, lattice_M8N4, dt):
+    H, amps = lattice_M8N4
+    with pytest.raises(NumericalFailure, match="maxdim=40"):
+        lanczos_expm_apply(H, amps, dt, KRYLOV_MAXDIM, 1e-12)
+    lanczos, calls = propagate._lanczos_expm, []
+
+    def record(H, v, sub_dt, *args):
+        calls.append((sub_dt, "unconverged"))
+        out = lanczos(H, v, sub_dt, *args)
+        calls[-1] = (sub_dt, "converged")
+        return out
+
+    monkeypatch.setattr(propagate, "_lanczos_expm", record)
+    got = NBodyStepper(H, PropagatorConfig(dt=dt, steps=1, krylov_tol=1e-12)).step(amps)
+    assert np.linalg.norm(got - exact_propagator(H, dt) @ amps) <= 1e-10
+    # dt, dt/2, ... fail until dt/2^k converges; the other 2^k - 1 sub-steps
+    # start at that k and, here, converge too
+    k = [status for _, status in calls].index("converged")
+    assert 0 < k <= MAX_HALVINGS
+    assert calls == [(dt / 2**n, "unconverged") for n in range(k)] + [
+        (dt / 2**k, "converged")
+    ] * 2**k
+
+
+def test_unconverged_sub_step_past_the_halving_cap_raises(lattice_M8N4):
+    # dt / 2^MAX_HALVINGS is still about 1e3: no 40-vector space follows it
+    H, amps = lattice_M8N4
+    stepper = NBodyStepper(H, PropagatorConfig(dt=1e6, steps=1, krylov_tol=1e-12))
+    message = rf"maxdim=40, even in 2\^{MAX_HALVINGS} sub-steps"
+    with pytest.raises(NumericalFailure, match=message):
+        stepper.step(amps)
 
 
 def test_evolution_unitary_and_energy_conserving(small_system):
@@ -282,10 +330,9 @@ def test_stepper_detects_norm_drift(small_system):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("method", ["krylov", "dense"])
-def test_stepper_names_nonfinite_amplitudes(small_system, method):
+def test_stepper_names_nonfinite_amplitudes(small_system):
     H, psi0 = small_system
-    stepper = NBodyStepper(H, PropagatorConfig(dt=1e-2, steps=1, method=method))
+    stepper = NBodyStepper(H, PropagatorConfig(dt=1e-2, steps=1))
     for bad in (np.nan, np.inf):
         amps = psi0.amps.copy()
         amps[1] = bad
@@ -293,10 +340,9 @@ def test_stepper_names_nonfinite_amplitudes(small_system, method):
             stepper.step(amps)
 
 
-@pytest.mark.parametrize("method", ["krylov", "dense"])
-def test_stepper_unitarity_tolerance(small_system, method):
+def test_stepper_unitarity_tolerance(small_system):
     H, psi0 = small_system
-    stepper = NBodyStepper(H, PropagatorConfig(dt=1e-2, steps=1, method=method))
+    stepper = NBodyStepper(H, PropagatorConfig(dt=1e-2, steps=1))
     with pytest.raises(NumericalFailure, match=re.escape("beyond the unitarity tolerance")):
         stepper.step((1.0 + 1e-6) * psi0.amps)
     assert abs(np.linalg.norm(stepper.step(psi0.amps)) - 1.0) < 1e-12

@@ -52,6 +52,11 @@ def test_density_matrix_validation():
         DensityMatrix(1, np.eye(2))  # trace 2
 
 
+def test_density_matrix_rejects_nan():
+    with pytest.raises(NumericalFailure, match="not Hermitian"):
+        DensityMatrix(1, np.full((3, 3), np.nan))
+
+
 def test_gamma1_product_state_rank_one(rng, grid6):
     phi = random_orbital(rng, grid6)
     psi = product_state(phi, enumerate_basis(6, 4))
