@@ -1,18 +1,21 @@
+import json
 import math
+import multiprocessing
 import os
 import runpy
 import subprocess
 import sys
+import time
 from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mfdyn import condensate, harness
+from mfdyn import blas, condensate, harness
 from mfdyn.bounds import conjugate_q, wnorm_upper_bound
 from mfdyn.cli import build_parser, config_from_args, main
-from mfdyn.errors import ConfigError
+from mfdyn.errors import ConfigError, NumericalFailure
 from mfdyn.harness import (
     CSV_HEADER,
     INITIALS,
@@ -178,10 +181,102 @@ def test_sweep_solves_hartree_once_and_matches_single_runs(monkeypatch):
     monkeypatch.setattr(harness, "evolve_hartree", counted)
     res = sweep_N(cfg)
     assert len(calls) == 1
+    # the workers send back records only: every run holds the parent's side,
+    # in increasing N although the largest N was submitted first
+    assert list(res.runs) == list(cfg.particles_list)
+    side = res.runs[cfg.particles_list[0]].side
+    assert all(run.side is side for run in res.runs.values())
     for N in cfg.particles_list:
         single = run_simulation(replace(cfg, particles=N, particles_list=()))
         assert records_csv(res.runs[N].records) == records_csv(single.records)
     assert len(calls) == 1 + len(cfg.particles_list)
+
+
+def perfbench_blas_pool_sizes():
+    """perfbench/child.py's reader of both OpenBLAS pool sizes."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return runpy.run_path(os.path.join(root, "perfbench", "child.py"))["blas_pool_sizes"]
+
+
+def test_sweep_workers_run_one_blas_thread_and_the_parent_keeps_its_pools(
+    tmp_path, monkeypatch
+):
+    pool_sizes = perfbench_blas_pool_sizes()
+    pool_sizes()  # loads scipy's OpenBLAS too, as the benchmark does
+    pools = blas.openblas_pools()
+    if pools is None:
+        pytest.skip("numpy's bundled OpenBLAS is not loaded")
+    run = harness.run_simulation
+
+    def reporting_run(cfg, side):
+        report = {"pid": os.getpid(), "blas": pool_sizes()}
+        (tmp_path / f"{cfg.particles}.json").write_text(json.dumps(report))
+        return run(cfg, side)
+
+    monkeypatch.setattr(harness, "run_simulation", reporting_run)
+    old = [get() for _, get in pools]
+    for set_, _ in pools:
+        set_(2)  # a parent pool size that the sweep must leave as it was
+    try:
+        before = pool_sizes()
+        sweep_N(make_config(**FAST, particles_list=(2, 3, 4)))
+        after = pool_sizes()
+    finally:
+        for (set_, _), n in zip(pools, old):
+            set_(n)
+    assert before == after == {"numpy": 2, "scipy": 2}
+    reports = [json.loads((tmp_path / f"{N}.json").read_text()) for N in (2, 3, 4)]
+    assert all(r["pid"] != os.getpid() for r in reports)
+    assert [r["blas"] for r in reports] == [{"numpy": 1, "scipy": 1}] * 3
+
+
+def test_sweep_without_blas_entry_points_runs_one_worker(tmp_path, monkeypatch):
+    cfg = make_config(**FAST, particles_list=(2, 3, 4))
+    pinned = records_csv(sweep_N(cfg).records)
+    run = harness.run_simulation
+
+    def reporting_run(cfg, side):
+        (tmp_path / f"{cfg.particles}.pid").write_text(str(os.getpid()))
+        return run(cfg, side)
+
+    monkeypatch.setattr(harness, "run_simulation", reporting_run)
+    monkeypatch.setattr(blas, "OPENBLAS_LIBS", [])
+    assert blas.openblas_pools() is None
+    res = sweep_N(cfg)
+    pids = {(tmp_path / f"{N}.pid").read_text() for N in cfg.particles_list}
+    assert len(pids) == 1 and pids != {str(os.getpid())}
+    assert records_csv(res.records) == pinned
+
+
+@pytest.mark.parametrize("error", [NumericalFailure, ConfigError])
+def test_sweep_raises_a_worker_failure_with_its_type_and_message(monkeypatch, error):
+    def failing_run(cfg, side):
+        if cfg.particles == 3:
+            raise error("planted failure at N = 3")
+        return harness.RunResult(cfg, [], side)
+
+    monkeypatch.setattr(harness, "run_simulation", failing_run)
+    with pytest.raises(error) as info:
+        sweep_N(make_config(**FAST, particles_list=(2, 3, 4)))
+    assert type(info.value) is error and str(info.value) == "planted failure at N = 3"
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_failure_drops_the_runs_still_waiting(tmp_path, monkeypatch):
+    def failing_run(cfg, side):
+        (tmp_path / str(cfg.particles)).touch()
+        if cfg.particles == 9:
+            raise NumericalFailure("planted failure at N = 9")
+        time.sleep(0.15)
+        return harness.RunResult(cfg, [], side)
+
+    monkeypatch.setattr(harness, "run_simulation", failing_run)
+    with pytest.raises(NumericalFailure, match="planted failure at N = 9"):
+        sweep_N(make_config(**FAST, particles_list=tuple(range(2, 10))))
+    # N = 9 goes first and fails at once; N = 2, last in line, never starts
+    started = {int(path.name) for path in tmp_path.iterdir()}
+    assert 9 in started and 2 not in started
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_integrates_each_envelope_once_per_record_step(monkeypatch):
@@ -261,6 +356,17 @@ def test_cli_exit_code_numerical_failure(capsys):
     )
     assert rc == 2
     assert "numerical failure:" in capsys.readouterr().err
+
+
+def test_cli_sweep_numerical_failure_in_a_worker(capfd):
+    rc = main(
+        ["sweep", "--sites", "6", "--particles-list", "2,3,4", "--tfinal", "1000000",
+         "--dt", "1000000", "--stride", "1"]
+    )
+    assert rc == 2
+    err = capfd.readouterr().err  # file-descriptor capture sees the workers too
+    assert err.count("numerical failure:") == 1
+    assert "Traceback" not in err
 
 
 def test_cli_eta_curve_output(capsys):
