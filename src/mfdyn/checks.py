@@ -25,8 +25,8 @@ from .fock import (
     _multinomial,
     build_HN,
     enumerate_basis,
-    pair_modes,
     product_state,
+    sector_modes,
 )
 from .lattice import (
     Grid,
@@ -45,7 +45,7 @@ from .onebody import (
     mean_field_potential,
 )
 from .propagate import NBodyStepper, PropagatorConfig
-from .reduce import DensityMatrix, E_k, R_k, _condensate_vector
+from .reduce import DensityMatrix, E_k, R_k, _condensate_vector_for
 
 DENSE_ORACLE_CAP = 4096
 
@@ -137,8 +137,8 @@ def tensor_hat_f(f: np.ndarray, phi: Orbital, N: int) -> np.ndarray:
 
 def pair_isometry(M: int) -> np.ndarray:
     """(M^2, M(M+1)/2) isometry embedding the symmetric pair space of
-    `fock.pair_modes` into C^M (x) C^M."""
-    x, y, weight = pair_modes(M)
+    `fock.sector_modes` into C^M (x) C^M."""
+    (x, y), weight = sector_modes(M, 2)
     S = np.zeros((M * M, x.size))
     pairs = np.arange(x.size)
     S[x * M + y, pairs] = S[y * M + x, pairs] = 1.0 / weight
@@ -165,7 +165,7 @@ def partial_trace_2to1(g2: DensityMatrix) -> DensityMatrix:
 def seiringer_check(gamma: DensityMatrix, phi: Orbital) -> tuple[float, float]:
     """(trace norm, 2 * operator norm) of p^(x)k - gamma; the two agree for
     a rank-one projector against a nonnegative density matrix."""
-    uk = _condensate_vector(phi, gamma.k)
+    uk = _condensate_vector_for(gamma, phi)
     diff = np.outer(uk, uk.conj()) - gamma.mat
     lam = np.linalg.eigvalsh(diff)
     return float(np.sum(np.abs(lam))), float(2.0 * np.max(np.abs(lam)))

@@ -1,4 +1,4 @@
-"""Symmetric N-particle subspace: occupation basis, annihilation maps,
+"""Symmetric N-particle subspace: occupation basis, lowering maps,
 second quantization, the N-body Hamiltonian H_N, and product states.
 
 Mode amplitudes carry sqrt(dx), so a lattice-normalized orbital and a
@@ -25,7 +25,7 @@ BASIS_CAP = 200_000
 class OccupationBasis:
     """All occupation vectors of N bosons on M sites, first site descending.
 
-    Data derived from the basis (rank table, annihilation map, CSR pattern
+    Data derived from the basis (rank table, lowering maps, CSR pattern
     of one-body operators) is kept in `_cache`, so it lives exactly as long
     as the basis.
     """
@@ -76,79 +76,62 @@ def enumerate_basis(M: int, N: int) -> OccupationBasis:
     return OccupationBasis(M, N, np.diff(edges, axis=1) - 1)
 
 
-def _annihilation_map(basis: OccupationBasis):
-    """The N-1 basis, and for every site x and state t of it the row of
-    t + e_x in `basis` with the amplitude sqrt(t_x + 1) of a_x."""
-    if "ann" not in basis._cache:
-        if basis.particles < 1:
-            raise ConfigError("cannot annihilate from the vacuum sector")
-        sub = enumerate_basis(basis.sites, basis.particles - 1)
-        rows = np.stack(
-            [basis.rank(sub.states + e) for e in np.eye(basis.sites, dtype=np.int64)]
-        )
-        basis._cache["ann"] = (sub, rows, np.sqrt(sub.states.T + 1))
-    return basis._cache["ann"]
-
-
-def annihilate_all(
-    amps: np.ndarray, basis: OccupationBasis
-) -> tuple[np.ndarray, OccupationBasis]:
-    """a_x v for every site x and every vector v on the last axis of `amps`,
-    shape (..., dim) -> (..., M, dim of the N-1 sector), with the N-1 basis.
-
-    a_x is injective, so every entry is a single gathered product."""
-    amps = np.asarray(amps)
-    if amps.shape[-1] != basis.dim:
-        raise ConfigError("amplitude vectors do not match basis dimension")
-    sub, rows, coef = _annihilation_map(basis)
-    return coef * amps[..., rows], sub
-
-
 @functools.cache
-def pair_modes(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The modes of the symmetric two-particle space: the site pairs x <= y
-    in row-major order, and the weight sqrt(2) (x < y) or 1 (x = y) that
-    makes (e_x (x) e_y + e_y (x) e_x) / weight a unit vector for x < y and
-    e_x (x) e_x for x = y. gamma2 and the pair condensate vector are written
-    in this order. Made once per M and shared by every caller, so the
-    arrays are read-only."""
-    x, y = np.triu_indices(M)
-    modes = (x, y, np.where(x < y, np.sqrt(2.0), 1.0))
-    for a in modes:
+def sector_modes(M: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The modes of the symmetric k-particle space, k in {1, 2}: a (k, modes)
+    array of the sorted site tuples x_1 <= ... <= x_k in row-major order, and
+    the weight sqrt(2) for a pair x < y, 1 otherwise: the sum of the distinct
+    permutations of e_x1 (x) ... (x) e_xk, divided by the weight, is a unit
+    vector. gamma1, gamma2 and the condensate vectors are written in this
+    order. Made once per (M, k) and shared by every caller, so the arrays
+    are read-only."""
+    if k not in (1, 2):
+        raise ConfigError(f"only k in {{1, 2}} is supported, got {k}")
+    sites = np.array(list(itertools.combinations_with_replacement(range(M), k))).T
+    weight = np.where(sites[0] < sites[-1], np.sqrt(2.0), 1.0)
+    for a in (sites, weight):
         a.flags.writeable = False
-    return modes
+    return sites, weight
 
 
-def _pair_map(basis: OccupationBasis):
-    """The N-2 basis, and for every pair x <= y of `pair_modes` and state t
-    of it the row of t + e_x + e_y in `basis` with the amplitude
-    sqrt((t_x + 1)(t_y + 1 + delta_xy)) of a_x a_y, times the pair's weight."""
-    if "pair" not in basis._cache:
-        if basis.particles < 2:
-            raise ConfigError("cannot annihilate a pair from fewer than two particles")
-        sub = enumerate_basis(basis.sites, basis.particles - 2)
-        x, y, weight = pair_modes(basis.sites)
-        eye = np.eye(basis.sites, dtype=np.int64)
-        rows = np.stack([basis.rank(sub.states + e) for e in eye[x] + eye[y]])
-        t = sub.states.T
-        coef = weight[:, None] * np.sqrt((t[x] + 1) * (t[y] + 1 + (x == y)[:, None]))
-        basis._cache["pair"] = (sub, rows, coef)
-    return basis._cache["pair"]
+def _lowering_map(basis: OccupationBasis, k: int):
+    """The N-k basis, and for every mode x_1 <= ... <= x_k of `sector_modes`
+    and state t of it the row of t + e_x1 + ... + e_xk in `basis` with the
+    amplitude sqrt(prod_i (t_xi + 1 + #{j < i : x_j = x_i})) of
+    a_x1 ... a_xk, times the mode's weight."""
+    key = ("lower", k)
+    if key not in basis._cache:
+        sites, weight = sector_modes(basis.sites, k)
+        if basis.particles < k:
+            raise ConfigError(f"cannot lower {basis.particles} particles by {k}")
+        sub = enumerate_basis(basis.sites, basis.particles - k)
+        modes = np.arange(weight.size)
+        raised = np.zeros((weight.size, basis.sites), dtype=np.int64)
+        count = np.ones((weight.size, sub.dim), dtype=np.int64)  # under the sqrt
+        for x in sites:
+            raised[modes, x] += 1
+            count *= sub.states.T[x] + raised[modes, x][:, None]
+        rows = np.stack([basis.rank(sub.states + r) for r in raised])
+        coef = np.sqrt(count)
+        coef *= weight[:, None]  # in place: a temporary here raised peak RSS
+        basis._cache[key] = (sub, rows, coef)
+    return basis._cache[key]
 
 
-def annihilate_pairs(
-    amps: np.ndarray, basis: OccupationBasis
+def annihilate(
+    amps: np.ndarray, basis: OccupationBasis, k: int
 ) -> tuple[np.ndarray, OccupationBasis]:
-    """The components of a_x a_y v on the symmetric pair space, for every
-    vector v on the last axis of `amps`: shape (..., dim) -> (..., pairs,
-    dim of the N-2 sector), pairs as in `pair_modes`, with the N-2 basis.
+    """The components of a_x1 ... a_xk v on the symmetric k-particle space,
+    for every vector v on the last axis of `amps`: shape (..., dim) ->
+    (..., modes, dim of the N-k sector), modes as in `sector_modes`, with
+    the N-k basis.
 
-    a_x a_y is injective on each sector, so every entry is a single gathered
-    product."""
+    a_x1 ... a_xk is injective on each sector, so every entry is a single
+    gathered product."""
     amps = np.asarray(amps)
     if amps.shape[-1] != basis.dim:
         raise ConfigError("amplitude vectors do not match basis dimension")
-    sub, rows, coef = _pair_map(basis)
+    sub, rows, coef = _lowering_map(basis, k)
     return coef * amps[..., rows], sub
 
 
@@ -164,7 +147,7 @@ def _onebody_pattern(basis: OccupationBasis):
     ordering.
     """
     if "pattern" not in basis._cache:
-        sub, rows, _ = _annihilation_map(basis)
+        sub, rows, _ = _lowering_map(basis, 1)
         M, dim = basis.sites, basis.dim
         i, j = np.nonzero(~np.eye(M, dtype=bool))
         up = sub.states.T + 1

@@ -2,16 +2,17 @@
 
 Density matrices are mode-basis matrices with plain trace 1; the condensate
 comparison uses the sqrt(dx)-scaled orbital mode vector. The two-particle
-matrix lives on the symmetric pair space of `fock.pair_modes`.
+matrix lives on the symmetric pair space of `fock.sector_modes`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure
-from .fock import ManyBodyState, annihilate_all, annihilate_pairs, pair_modes
+from .fock import ManyBodyState, annihilate, sector_modes
 from .onebody import Orbital
 
 HERM_TOL = 1e-10
@@ -22,7 +23,7 @@ TRACE_TOL = 1e-10
 class DensityMatrix:
     """Hermitian positive unit-trace operator on the k-particle mode space:
     M x M for k = 1; for k = 2, M(M+1)/2 square on the symmetric pair space
-    of `fock.pair_modes`, which holds every bosonic two-particle state. Its
+    of `fock.sector_modes`, which holds every bosonic two-particle state. Its
     embedding into C^M (x) C^M through the pair isometry (`checks`) is the
     tensor-space matrix, with the same nonzero spectrum."""
 
@@ -43,46 +44,52 @@ class DensityMatrix:
         object.__setattr__(self, "mat", m)
 
 
+def _gamma(psi: ManyBodyState, k: int) -> DensityMatrix:
+    """<a_y1^dag ... a_yk^dag a_xk ... a_x1> / (N!/(N-k)!) on the symmetric
+    k-particle space: one gather of every component of a_x1 ... a_xk Psi."""
+    N = psi.basis.particles
+    if N < k:
+        raise ConfigError(f"gamma{k} needs at least {k} particles, got {N}")
+    B, _ = annihilate(psi.amps, psi.basis, k)
+    return DensityMatrix(k, (B @ B.conj().T) / math.perm(N, k))
+
+
 def gamma1(psi: ManyBodyState) -> DensityMatrix:
     """gamma1[x, y] = <a_y^dag a_x> / N."""
-    N = psi.basis.particles
-    if N < 1:
-        raise ConfigError("gamma1 needs at least one particle")
-    A, _ = annihilate_all(psi.amps, psi.basis)
-    return DensityMatrix(1, (A @ A.conj().T) / N)
+    return _gamma(psi, 1)
 
 
 def gamma2(psi: ManyBodyState) -> DensityMatrix:
-    """<a_y1^dag a_y2^dag a_x2 a_x1> / (N(N-1)) on the symmetric pair space:
-    one gather of every pair component of a_x a_y Psi."""
-    N = psi.basis.particles
-    if N < 2:
-        raise ConfigError("gamma2 needs at least two particles")
-    B, _ = annihilate_pairs(psi.amps, psi.basis)
-    return DensityMatrix(2, (B @ B.conj().T) / (N * (N - 1)))
+    """<a_y1^dag a_y2^dag a_x2 a_x1> / (N(N-1)) on the symmetric pair space."""
+    return _gamma(psi, 2)
 
 
 def _condensate_vector(phi: Orbital, k: int) -> np.ndarray:
-    """phi^(x)k in the mode space of a k-particle density matrix."""
+    """phi^(x)k in the mode space of a k-particle density matrix: per mode,
+    the weight times u[x_1] ... u[x_k], multiplied left to right."""
+    sites, uk = sector_modes(phi.grid.sites, k)
     u = phi.mode
-    if k == 1:
-        return u
-    x, y, weight = pair_modes(phi.grid.sites)
-    return weight * u[x] * u[y]
+    for x in sites:
+        uk = uk * u[x]
+    return uk
+
+
+def _condensate_vector_for(gamma: DensityMatrix, phi: Orbital) -> np.ndarray:
+    """phi^(x)k for the k of `gamma`, checked against its mode space."""
+    uk = _condensate_vector(phi, gamma.k)
+    if uk.shape[0] != gamma.mat.shape[0]:
+        raise ConfigError("orbital dimension does not match the density matrix")
+    return uk
 
 
 def E_k(gamma: DensityMatrix, phi: Orbital) -> float:
     """1 - <phi^(x)k, gamma phi^(x)k>."""
-    uk = _condensate_vector(phi, gamma.k)
-    if uk.shape[0] != gamma.mat.shape[0]:
-        raise ConfigError("orbital dimension does not match the density matrix")
+    uk = _condensate_vector_for(gamma, phi)
     return float(1.0 - np.real(np.vdot(uk, gamma.mat @ uk)))
 
 
 def R_k(gamma: DensityMatrix, phi: Orbital) -> float:
     """Trace norm of gamma - |phi><phi|^(x)k."""
-    uk = _condensate_vector(phi, gamma.k)
-    if uk.shape[0] != gamma.mat.shape[0]:
-        raise ConfigError("orbital dimension does not match the density matrix")
+    uk = _condensate_vector_for(gamma, phi)
     diff = gamma.mat - np.outer(uk, uk.conj())
     return float(np.sum(np.abs(np.linalg.eigvalsh(diff))))

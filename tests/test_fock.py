@@ -11,14 +11,13 @@ from mfdyn.errors import ConfigError
 from mfdyn.fock import (
     ManyBodyState,
     _onebody_pattern,
-    annihilate_all,
-    annihilate_pairs,
+    annihilate,
     build_HN,
     enumerate_basis,
     interaction_diagonal,
-    pair_modes,
     product_state,
     second_quantize_onebody,
+    sector_modes,
 )
 from mfdyn.lattice import Grid, LatticeField, sample_interaction
 from mfdyn.onebody import Orbital, build_h, condensate_projectors
@@ -207,14 +206,14 @@ def test_annihilate_lowers_sector_and_counts(rng, grid6):
     phi = random_orbital(rng, grid6)
     basis = enumerate_basis(6, 3)
     psi = product_state(phi, basis)
-    A, sub = annihilate_all(psi.amps, basis)
+    A, sub = annihilate(psi.amps, basis, 1)
     assert sub.particles == 2
     assert A.shape == (6, sub.dim)
     # sum_x ||a_x psi||^2 = <psi, N psi> = N
     total = sum(np.vdot(A[x], A[x]).real for x in range(6))
     assert total == pytest.approx(3.0, abs=1e-10)
     with pytest.raises(ConfigError):
-        annihilate_all(np.ones(1), enumerate_basis(6, 0))
+        annihilate(np.ones(1), enumerate_basis(6, 0), 1)
 
 
 def test_annihilate_product_state_factorizes(rng, grid6):
@@ -225,7 +224,7 @@ def test_annihilate_product_state_factorizes(rng, grid6):
     psi = product_state(phi, basis)
     psi2 = product_state(phi, sub)
     u = phi.mode
-    A, _ = annihilate_all(psi.amps, basis)
+    A, _ = annihilate(psi.amps, basis, 1)
     for x in range(6):
         assert np.allclose(A[x], math.sqrt(3) * u[x] * psi2.amps, atol=1e-12)
 
@@ -233,12 +232,12 @@ def test_annihilate_product_state_factorizes(rng, grid6):
 def test_annihilate_all_stacks_and_commutes(rng):
     basis = enumerate_basis(4, 3)
     v = rng.normal(size=(2, basis.dim)) + 1j * rng.normal(size=(2, basis.dim))
-    A, sub = annihilate_all(v, basis)
+    A, sub = annihilate(v, basis, 1)
     assert A.shape == (2, 4, sub.dim)
     for k in range(2):
-        assert np.array_equal(A[k], annihilate_all(v[k], basis)[0])
+        assert np.array_equal(A[k], annihilate(v[k], basis, 1)[0])
     # B[k, y, x] = a_x a_y v_k; annihilators commute
-    B, sub2 = annihilate_all(A, sub)
+    B, sub2 = annihilate(A, sub, 1)
     assert B.shape == (2, 4, 4, sub2.dim)
     assert np.allclose(B, B.transpose(0, 2, 1, 3), atol=1e-12)
 
@@ -248,10 +247,10 @@ def test_pair_map_equals_two_annihilations(rng, M, N):
     # the pair component (x <= y) of a_x a_y v, weighted sqrt(2) for x < y
     basis = enumerate_basis(M, N)
     v = rng.normal(size=(2, basis.dim)) + 1j * rng.normal(size=(2, basis.dim))
-    P, sub2 = annihilate_pairs(v, basis)
-    A, sub = annihilate_all(v, basis)
-    B, _ = annihilate_all(A, sub)  # B[k, y, x] = a_x a_y v_k
-    x, y, weight = pair_modes(M)
+    P, sub2 = annihilate(v, basis, 2)
+    A, sub = annihilate(v, basis, 1)
+    B, _ = annihilate(A, sub, 1)  # B[k, y, x] = a_x a_y v_k
+    (x, y), weight = sector_modes(M, 2)
     assert sub2.particles == N - 2 and P.shape == (2, M * (M + 1) // 2, sub2.dim)
     assert np.allclose(P, weight[:, None] * B[:, y, x], atol=1e-12, rtol=0)
     assert np.array_equal(weight, np.where(x < y, math.sqrt(2.0), 1.0))
@@ -259,7 +258,7 @@ def test_pair_map_equals_two_annihilations(rng, M, N):
         (a, b) for a in range(M) for b in range(a, M)
     ]
     with pytest.raises(ConfigError):
-        annihilate_pairs(np.ones(M), enumerate_basis(M, 1))
+        annihilate(np.ones(M), enumerate_basis(M, 1), 2)
 
 
 def test_symmetrizer_is_projector():

@@ -248,6 +248,25 @@ def test_sweep_without_blas_entry_points_runs_one_worker(tmp_path, monkeypatch):
     assert records_csv(res.records) == pinned
 
 
+def test_sweep_forks_without_a_deprecation_warning_at_default_threads():
+    # Python 3.12+ warns when a process with more than one OS thread forks,
+    # and at default threads the parent holds numpy's OpenBLAS worker. The
+    # warning comes from inside os.fork, which discards it as an error under
+    # -W error, so it is printed (-W always) and looked for on stderr.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = ["--sites", "6", "--particles-list", "2,3,4", "--tfinal", "0.01", "--stride", "5"]
+    proc = subprocess.run(
+        [sys.executable, "-W", "always::DeprecationWarning", "-m", "mfdyn", "sweep", *argv],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "DeprecationWarning" not in proc.stderr
+    cfg = config_from_args(build_parser().parse_args(["sweep", *argv]))
+    assert proc.stdout == records_csv(sweep_N(cfg).records)
+
+
 @pytest.mark.parametrize("error", [NumericalFailure, ConfigError])
 def test_sweep_raises_a_worker_failure_with_its_type_and_message(monkeypatch, error):
     def failing_run(cfg, side):

@@ -15,11 +15,11 @@ from mfdyn.checks import (
     tensor_gamma2,
 )
 from mfdyn.errors import ConfigError, NumericalFailure
-from mfdyn.fock import ManyBodyState, build_HN, enumerate_basis, pair_modes, product_state
+from mfdyn.fock import ManyBodyState, build_HN, enumerate_basis, product_state, sector_modes
 from mfdyn.lattice import Grid, sample_interaction
 from mfdyn.onebody import Orbital, build_h
 from mfdyn.propagate import NBodyStepper, PropagatorConfig
-from mfdyn.reduce import DensityMatrix, E_k, R_k, gamma1, gamma2
+from mfdyn.reduce import DensityMatrix, E_k, R_k, _condensate_vector, gamma1, gamma2
 
 from conftest import random_orbital
 
@@ -143,25 +143,70 @@ def test_indicator_zero_on_condensate(rng, grid6):
     assert R_k(g, phi) < 1e-6  # sqrt roundoff of eigensolver
 
 
-def test_pair_modes_are_made_once_and_read_only(rng, grid6):
-    # E_k and R_k share one set of pair arrays per M; no caller may write them
-    modes = pair_modes(6)
-    assert pair_modes(6) is modes
+@pytest.mark.parametrize("k", [1, 2])
+def test_pair_modes_are_made_once_and_read_only(rng, grid6, k):
+    # E_k and R_k share one set of mode arrays per (M, k); no caller may write them
+    modes = sector_modes(6, k)
+    assert sector_modes(6, k) is modes
     for a in modes:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = a[0]
-    # on the shared arrays, E_2 and R_2 equal the same formulas evaluated on
-    # a pair vector built afresh from np.triu_indices
-    g2 = gamma2(random_state(rng, 6, 3))
+    # on the shared arrays, E_k and R_k equal the same formulas evaluated on
+    # a condensate vector built afresh (pairs from np.triu_indices)
+    psi = random_state(rng, 6, 3)
+    g = gamma1(psi) if k == 1 else gamma2(psi)
     phi = random_orbital(rng, grid6)
-    x, y = np.triu_indices(6)
-    uk = np.where(x < y, np.sqrt(2.0), 1.0) * phi.mode[x] * phi.mode[y]
-    e2 = float(1.0 - np.real(np.vdot(uk, g2.mat @ uk)))
-    r2 = float(np.sum(np.abs(np.linalg.eigvalsh(g2.mat - np.outer(uk, uk.conj())))))
+    uk = phi.mode
+    if k == 2:
+        x, y = np.triu_indices(6)
+        uk = np.where(x < y, np.sqrt(2.0), 1.0) * uk[x] * uk[y]
+    ek = float(1.0 - np.real(np.vdot(uk, g.mat @ uk)))
+    rk = float(np.sum(np.abs(np.linalg.eigvalsh(g.mat - np.outer(uk, uk.conj())))))
     for _ in range(2):
-        assert E_k(g2, phi) == e2
-        assert R_k(g2, phi) == r2
+        assert E_k(g, phi) == ek
+        assert R_k(g, phi) == rk
+    # H_N's hop pattern, gamma1 and gamma2 keep one lowering map per k on
+    # the basis, and the map k is made once
+    basis = psi.basis
+    build_HN(build_h(grid6), sample_interaction(grid6, "gaussian", lam=1.0, sigma=1.0), basis)
+    lowered = basis._cache[("lower", k)]
+    gamma1(psi), gamma2(psi)
+    assert basis._cache[("lower", k)] is lowered
+    assert set(basis._cache) == {"rank", "pattern", ("lower", 1), ("lower", 2)}
+    with pytest.raises(ConfigError):
+        sector_modes(6, 3)
+
+
+@pytest.mark.parametrize("M, N", [(2, 2), (4, 3), (8, 4), (8, 6), (3, 9)])
+def test_lowering_map_is_bit_identical_to_the_two_gathers(rng, M, N):
+    # The oracle is the pair of gathers the k-particle lowering map replaced,
+    # written out as they were: a_x for k = 1, the weighted pair component
+    # of a_x a_y for k = 2, and the condensate vectors u and w u[x] u[y].
+    psi = random_state(rng, M, N)
+    basis = psi.basis
+    eye = np.eye(M, dtype=np.int64)
+
+    sub = enumerate_basis(M, N - 1)
+    rows = np.stack([basis.rank(sub.states + e) for e in eye])
+    A = np.sqrt(sub.states.T + 1) * psi.amps[rows]
+    old_g1 = (A @ A.conj().T) / N
+
+    sub2 = enumerate_basis(M, N - 2)
+    x, y = np.triu_indices(M)
+    weight = np.where(x < y, np.sqrt(2.0), 1.0)
+    rows = np.stack([basis.rank(sub2.states + e) for e in eye[x] + eye[y]])
+    t = sub2.states.T
+    coef = weight[:, None] * np.sqrt((t[x] + 1) * (t[y] + 1 + (x == y)[:, None]))
+    B = coef * psi.amps[rows]
+    old_g2 = (B @ B.conj().T) / (N * (N - 1))
+
+    assert gamma1(psi).mat.tobytes() == old_g1.astype(complex).tobytes()
+    assert gamma2(psi).mat.tobytes() == old_g2.astype(complex).tobytes()
+    u = random_orbital(rng, Grid(M, 1.0))
+    assert _condensate_vector(u, 1).tobytes() == u.mode.tobytes()
+    old_u2 = weight * u.mode[x] * u.mode[y]
+    assert _condensate_vector(u, 2).tobytes() == old_u2.tobytes()
 
 
 def test_indicator_dimension_check(rng, grid6):
