@@ -5,11 +5,16 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .bounds import (
     beta_bound_envelope,
     conjugate_q,
@@ -267,20 +272,41 @@ class HartreeSide:
     phi_tildes: list
 
 
-def hartree_side(cfg: RunConfig) -> HartreeSide:
-    """Build the lattice problem of `cfg`, solve its Hartree flow and
-    integrate both envelope exponents up to every record step."""
+class LatticeProblem(NamedTuple):
+    """The lattice problem of a config: grid, external potential (None
+    for none), interaction, one-body Hamiltonian, initial orbital phi_0
+    and the record steps `0, stride, ..., steps`."""
+
+    grid: Grid
+    v: LatticeField | None
+    w: LatticeField
+    h: np.ndarray
+    phi0: Orbital
+    record_steps: list
+
+
+def lattice_problem(cfg: RunConfig) -> LatticeProblem:
     grid = Grid(cfg.sites, cfg.dx)
     v = potential_field(cfg, grid)
     w = interaction_field(cfg, grid)
     h = build_h(grid, v)
+    record_steps = [*range(0, cfg.steps, cfg.stride), cfg.steps]
+    return LatticeProblem(grid, v, w, h, initial_orbital(cfg, grid, h), record_steps)
+
+
+def hartree_side(cfg: RunConfig, problem: LatticeProblem | None = None) -> HartreeSide:
+    """Solve the Hartree flow of `cfg` and integrate both envelope
+    exponents up to every record step; `problem` is `lattice_problem(cfg)`,
+    built here when not given."""
+    if problem is None:
+        problem = lattice_problem(cfg)
+    grid, v, w, h, phi0, record_steps = problem
     steps = cfg.steps
-    flow = evolve_hartree(grid, v, w, initial_orbital(cfg, grid, h), cfg.dt, steps)
+    flow = evolve_hartree(grid, v, w, phi0, cfg.dt, steps)
     times = cfg.dt * np.arange(steps + 1)
     w_bound = wnorm_upper_bound(w, cfg.p1, cfg.p2, default_cutoffs(w))
     env = envelope_integrand(flow, cfg.dx, conjugate_q(cfg.p1), conjugate_q(cfg.p2))
     ptil = phi_tilde_integrand(flow, cfg.dx, h)
-    record_steps = [*range(0, steps, cfg.stride), steps]
     return HartreeSide(
         h=h,
         w=w,
@@ -298,29 +324,58 @@ def run_simulation(cfg: RunConfig, side: HartreeSide | None = None) -> RunResult
     """Co-evolve Psi (exact) and phi (Hartree) for one N; one record per stride.
 
     `side` is `hartree_side(c)` of a config `c` that differs from `cfg` at
-    most in its N values; it is computed here when not given.
+    most in its N values; it is computed here when not given. Such a
+    top-level run, on two or more usable cores with pinnable OpenBLAS
+    pools, steps Psi in a forked child while this process solves the
+    Hartree side and builds each record as its state arrives; both
+    processes compute with one-thread pools, so the records equal a
+    one-process, one-thread run bit for bit. A run handed a `side`, such
+    as a sweep's worker, steps Psi in its own process.
     """
     if cfg.particles_list:
         raise ConfigError("--particles-list belongs to `mfdyn sweep`; a run takes one N")
-    N = cfg.particles
-    basis = enumerate_basis(cfg.sites, N)
-    if side is None:
-        side = hartree_side(cfg)
-    h, w = side.h, side.w
-    H = build_HN(h, w, basis)
-    eta = float(cfg.eta)
+    basis = enumerate_basis(cfg.sites, cfg.particles)
+    if side is not None:
+        H = build_HN(side.h, side.w, basis)
+        psi0 = product_state(side.orbitals[0], basis).amps
+        snapshots = _snapshots(H, psi0, cfg, side.record_steps)
+        return RunResult(cfg, _records(cfg, basis, H, side, snapshots), side)
 
+    problem = lattice_problem(cfg)
+    H = build_HN(problem.h, problem.w, basis)
+    psi0 = product_state(problem.phi0, basis).amps
+    snapshots = _snapshots(H, psi0, cfg, problem.record_steps)
+    with one_blas_thread() as pinned:
+        if pinned and len(os.sched_getaffinity(0)) > 1:
+            stream = _stepped_in_child(snapshots, basis.dim, len(problem.record_steps))
+        else:
+            stream = nullcontext(snapshots)
+        with stream as states:
+            side = hartree_side(cfg, problem)
+            records = _records(cfg, basis, H, side, states)
+    return RunResult(cfg, records, side)
+
+
+def _snapshots(H, amps: np.ndarray, cfg: RunConfig, record_steps: list):
+    """Step Psi from `amps` and yield its amplitudes at every record step."""
     stepper = NBodyStepper(H, PropagatorConfig(dt=cfg.dt, steps=cfg.steps, krylov_tol=1e-12))
-
-    amps = product_state(side.orbitals[0], basis).amps
-    records: list[TimeRecord] = []
     k_prev = 0
-    for k, phi_t, phi_env, ptil in zip(
-        side.record_steps, side.orbitals, side.phi_ts, side.phi_tildes
-    ):
+    for k in record_steps:
         for _ in range(k - k_prev):
             amps = stepper.step(amps)
         k_prev = k
+        yield amps
+
+
+def _records(cfg: RunConfig, basis, H, side: HartreeSide, snapshots) -> list:
+    """One record per snapshot of Psi, against the Hartree side at its step."""
+    N = cfg.particles
+    h, w = side.h, side.w
+    eta = float(cfg.eta)
+    records: list[TimeRecord] = []
+    for amps, k, phi_t, phi_env, ptil in zip(
+        snapshots, side.record_steps, side.orbitals, side.phi_ts, side.phi_tildes
+    ):
         state = ManyBodyState(basis, amps)
         g1 = gamma1(state)
         e1 = E_k(g1, phi_t)
@@ -349,7 +404,69 @@ def run_simulation(cfg: RunConfig, side: HartreeSide | None = None) -> RunResult
                 beta_bound=b_bound, slack_alpha=a_bound - alpha,
             )
         )
-    return RunResult(cfg, records, side)
+    return records
+
+
+# Tags of the stepping child's messages: a state (dim complex amplitudes as
+# raw bytes) follows, or a pickled exception that ends the stream.
+_STATE, _FAILURE = b"s", b"x"
+
+
+@contextmanager
+def _stepped_in_child(snapshots, dim: int, count: int):
+    """Run the unstarted generator `snapshots` in a forked child and give
+    the block an iterator over its first `count` states, read from a pipe.
+    A failure in the child is raised from that iterator with its own type
+    and message. On leaving the block the child is reaped; when the block
+    fails, it is killed first, so no remaining step is waited for."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        os.close(read_fd)
+        _feed(snapshots, write_fd)  # does not return
+    os.close(write_fd)
+    pipe = open(read_fd, "rb")
+    try:
+        yield _read_states(pipe, dim, count)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        pipe.close()
+        os.waitpid(pid, 0)
+
+
+def _feed(snapshots, fd: int):
+    """The stepping child: write every state of `snapshots` to the pipe
+    `fd`, or the exception that stops it, and leave by `os._exit` without
+    running the parent's exit handlers or printing anything."""
+    try:
+        with open(fd, "wb") as pipe:
+            try:
+                for amps in snapshots:
+                    pipe.write(_STATE)
+                    pipe.write(amps)
+                    pipe.flush()
+            except Exception as exc:
+                pipe.write(_FAILURE + pickle.dumps(exc))
+    finally:
+        os._exit(0)
+
+
+def _read_states(pipe, dim: int, count: int):
+    for _ in range(count):
+        tag = pipe.read(1)
+        if tag == _FAILURE:
+            raise pickle.loads(pipe.read())
+        amps = np.empty(dim, dtype=complex)
+        if tag != _STATE or pipe.readinto(amps) != amps.nbytes:
+            raise RuntimeError("the stepping process ended before its last state")
+        yield amps
 
 
 @dataclass
@@ -389,8 +506,6 @@ def sweep_N(cfg: RunConfig) -> SweepResult:
     # and the pool modules would add about 0.6 MB to every run's memory.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor, as_completed
-
-    from .blas import one_blas_thread
 
     Ns = list(cfg.particles_list)
     if len(Ns) < 3:

@@ -248,23 +248,32 @@ def test_sweep_without_blas_entry_points_runs_one_worker(tmp_path, monkeypatch):
     assert records_csv(res.records) == pinned
 
 
-def test_sweep_forks_without_a_deprecation_warning_at_default_threads():
+FORK_ARGV = {
+    "simulate": ["--sites", "6", "--particles", "3", "--tfinal", "0.01", "--stride", "5"],
+    "sweep": ["--sites", "6", "--particles-list", "2,3,4", "--tfinal", "0.01", "--stride", "5"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FORK_ARGV))
+def test_cli_forks_without_a_deprecation_warning_at_default_threads(command):
     # Python 3.12+ warns when a process with more than one OS thread forks,
     # and at default threads the parent holds numpy's OpenBLAS worker. The
     # warning comes from inside os.fork, which discards it as an error under
-    # -W error, so it is printed (-W always) and looked for on stderr.
+    # -W error, so it is printed (-W always) and looked for on stderr. A
+    # single run forks its stepping child, a sweep its workers.
     src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    argv = ["--sites", "6", "--particles-list", "2,3,4", "--tfinal", "0.01", "--stride", "5"]
+    argv = FORK_ARGV[command]
     proc = subprocess.run(
-        [sys.executable, "-W", "always::DeprecationWarning", "-m", "mfdyn", "sweep", *argv],
+        [sys.executable, "-W", "always::DeprecationWarning", "-m", "mfdyn", command, *argv],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "DeprecationWarning" not in proc.stderr
-    cfg = config_from_args(build_parser().parse_args(["sweep", *argv]))
-    assert proc.stdout == records_csv(sweep_N(cfg).records)
+    cfg = config_from_args(build_parser().parse_args([command, *argv]))
+    run = sweep_N if command == "sweep" else run_simulation
+    assert proc.stdout == records_csv(run(cfg).records)
 
 
 @pytest.mark.parametrize("error", [NumericalFailure, ConfigError])
@@ -296,6 +305,121 @@ def test_sweep_failure_drops_the_runs_still_waiting(tmp_path, monkeypatch):
     started = {int(path.name) for path in tmp_path.iterdir()}
     assert 9 in started and 2 not in started
     assert multiprocessing.active_children() == []
+
+
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("error", [NumericalFailure, ConfigError])
+def test_run_raises_a_stepping_failure_with_its_type_and_message(monkeypatch, error):
+    class FailingStepper(harness.NBodyStepper):
+        calls = 0
+
+        def step(self, amps):
+            self.calls += 1
+            if self.calls == 3:
+                raise error("planted failure at step 3")
+            return super().step(amps)
+
+    monkeypatch.setattr(harness, "NBodyStepper", FailingStepper)
+    with pytest.raises(error) as info:
+        run_simulation(make_config(**FAST))
+    assert type(info.value) is error and str(info.value) == "planted failure at step 3"
+    assert no_child_left()
+
+
+def test_run_failure_in_the_records_ends_the_stepping_child(monkeypatch):
+    class SlowStepper(harness.NBodyStepper):
+        calls = 0
+
+        def step(self, amps):
+            self.calls += 1
+            if self.calls > 10:
+                time.sleep(1.0)
+            return super().step(amps)
+
+    weights = harness.occupation_weights
+    calls = []
+
+    def failing_weights(state, phi):
+        calls.append(state)
+        if len(calls) == 3:
+            raise NumericalFailure("planted failure at record 3")
+        return weights(state, phi)
+
+    monkeypatch.setattr(harness, "NBodyStepper", SlowStepper)
+    monkeypatch.setattr(harness, "occupation_weights", failing_weights)
+    cfg = make_config(**{**FAST, "tfinal": 0.1})  # records at steps 0, 5, 10, 15, 20
+    start = time.perf_counter()
+    with pytest.raises(NumericalFailure) as info:
+        run_simulation(cfg)
+    elapsed = time.perf_counter() - start
+    assert str(info.value) == "planted failure at record 3"
+    assert no_child_left()
+    assert elapsed < 5.0  # the 10 steps after record 3 take 10 s
+
+
+def test_run_steps_in_a_child_with_one_blas_thread_and_the_parent_keeps_its_pools(
+    tmp_path, monkeypatch
+):
+    pool_sizes = perfbench_blas_pool_sizes()
+    pool_sizes()  # loads scipy's OpenBLAS too, as the benchmark does
+    pools = blas.openblas_pools()
+    if pools is None:
+        pytest.skip("numpy's bundled OpenBLAS is not loaded")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one usable core: the run steps in its own process")
+    report = tmp_path / "stepper.json"
+
+    class ReportingStepper(harness.NBodyStepper):
+        def __init__(self, *args, **kwargs):
+            report.write_text(json.dumps({"pid": os.getpid(), "blas": pool_sizes()}))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "NBodyStepper", ReportingStepper)
+    old = [get() for _, get in pools]
+    for set_, _ in pools:
+        set_(2)  # a parent pool size that the run must leave as it was
+    try:
+        before = pool_sizes()
+        run_simulation(make_config(**FAST))
+        after = pool_sizes()
+    finally:
+        for (set_, _), n in zip(pools, old):
+            set_(n)
+    assert before == after == {"numpy": 2, "scipy": 2}
+    stepper = json.loads(report.read_text())
+    assert stepper["pid"] != os.getpid()
+    assert stepper["blas"] == {"numpy": 1, "scipy": 1}
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("reason", ["no-blas-entry-points", "one-core"])
+def test_run_without_pinned_pools_or_a_second_core_steps_in_one_process(
+    monkeypatch, reason
+):
+    cfg = make_config(**FAST)
+    two_processes = records_csv(run_simulation(cfg).records)
+    pids = []
+
+    class ReportingStepper(harness.NBodyStepper):
+        def __init__(self, *args, **kwargs):
+            pids.append(os.getpid())  # seen here only if it runs in this process
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "NBodyStepper", ReportingStepper)
+    if reason == "one-core":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    else:
+        monkeypatch.setattr(blas, "OPENBLAS_LIBS", [])
+        assert blas.openblas_pools() is None
+    assert records_csv(run_simulation(cfg).records) == two_processes
+    assert pids == [os.getpid()]
 
 
 def test_sweep_integrates_each_envelope_once_per_record_step(monkeypatch):
@@ -367,14 +491,16 @@ def test_cli_exit_code_config_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_exit_code_numerical_failure(capsys):
+def test_cli_exit_code_numerical_failure(capfd):
     # an absurd dt makes the Krylov exponential unconvergable at maxdim
     rc = main(
         ["simulate", "--sites", "6", "--particles", "3", "--tfinal", "1000000",
          "--dt", "1000000", "--stride", "1"]
     )
     assert rc == 2
-    assert "numerical failure:" in capsys.readouterr().err
+    err = capfd.readouterr().err  # file-descriptor capture sees the stepping child too
+    assert err.count("numerical failure:") == 1
+    assert "Traceback" not in err
 
 
 def test_cli_sweep_numerical_failure_in_a_worker(capfd):
