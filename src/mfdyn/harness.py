@@ -7,7 +7,7 @@ import math
 import os
 import pickle
 import signal
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import NamedTuple
@@ -81,6 +81,10 @@ class RunConfig:
                 raise ConfigError(
                     f"{name} must be positive and finite, got {getattr(self, name)}"
                 )
+        ratio = self.tfinal / self.dt
+        steps = round(ratio) if ratio < math.inf else 0
+        if steps < 1 or abs(steps * self.dt - self.tfinal) > 1e-9 * max(1.0, self.tfinal):
+            raise ConfigError("tfinal must be a positive integer multiple of dt")
         if self.particles_list and list(self.particles_list) != sorted(
             set(self.particles_list)
         ):
@@ -104,10 +108,7 @@ class RunConfig:
 
     @property
     def steps(self) -> int:
-        n = round(self.tfinal / self.dt)
-        if abs(n * self.dt - self.tfinal) > 1e-9 * max(1.0, self.tfinal):
-            raise ConfigError("tfinal must be an integer multiple of dt")
-        return int(n)
+        return round(self.tfinal / self.dt)
 
     @property
     def eta(self) -> Fraction:
@@ -325,12 +326,9 @@ def run_simulation(cfg: RunConfig, side: HartreeSide | None = None) -> RunResult
 
     `side` is `hartree_side(c)` of a config `c` that differs from `cfg` at
     most in its N values; it is computed here when not given. Such a
-    top-level run, on two or more usable cores with pinnable OpenBLAS
-    pools, steps Psi in a forked child while this process solves the
-    Hartree side and builds each record as its state arrives; both
-    processes compute with one-thread pools, so the records equal a
-    one-process, one-thread run bit for bit. A run handed a `side`, such
-    as a sweep's worker, steps Psi in its own process.
+    top-level run steps Psi through `_in_child` while this process solves
+    the Hartree side and builds each record as its state arrives. A run
+    handed a `side`, such as a sweep's worker, steps Psi in its own process.
     """
     if cfg.particles_list:
         raise ConfigError("--particles-list belongs to `mfdyn sweep`; a run takes one N")
@@ -344,15 +342,9 @@ def run_simulation(cfg: RunConfig, side: HartreeSide | None = None) -> RunResult
     problem = lattice_problem(cfg)
     H = build_HN(problem.h, problem.w, basis)
     psi0 = product_state(problem.phi0, basis).amps
-    snapshots = _snapshots(H, psi0, cfg, problem.record_steps)
-    with one_blas_thread() as pinned:
-        if pinned and len(os.sched_getaffinity(0)) > 1:
-            stream = _stepped_in_child(snapshots, basis.dim, len(problem.record_steps))
-        else:
-            stream = nullcontext(snapshots)
-        with stream as states:
-            side = hartree_side(cfg, problem)
-            records = _records(cfg, basis, H, side, states)
+    with _in_child(_snapshots(H, psi0, cfg, problem.record_steps)) as states:
+        side = hartree_side(cfg, problem)
+        records = _records(cfg, basis, H, side, states)
     return RunResult(cfg, records, side)
 
 
@@ -407,66 +399,75 @@ def _records(cfg: RunConfig, basis, H, side: HartreeSide, snapshots) -> list:
     return records
 
 
-# Tags of the stepping child's messages: a state (dim complex amplitudes as
-# raw bytes) follows, or a pickled exception that ends the stream.
-_STATE, _FAILURE = b"s", b"x"
-
-
 @contextmanager
-def _stepped_in_child(snapshots, dim: int, count: int):
-    """Run the unstarted generator `snapshots` in a forked child and give
-    the block an iterator over its first `count` states, read from a pipe.
-    A failure in the child is raised from that iterator with its own type
-    and message. On leaving the block the child is reaped; when the block
-    fails, it is killed first, so no remaining step is waited for."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
+def _in_child(items):
+    """Give the block an iterator over the unstarted generator `items`,
+    with both OpenBLAS pools pinned to one thread (`one_blas_thread`).
+
+    If they could be pinned and two or more cores are usable, `items` runs
+    in a child forked (not spawned: it inherits the pinned pools and the
+    imported modules) while this process goes on, and the items arrive
+    through a pipe, equal bit for bit to those of a one-process, one-thread
+    run; elsewhere it runs in this process. A failure in the child is
+    raised from the iterator with its own type and message, and a stream
+    that ends without the end mark raises RuntimeError. The child is
+    reaped on leaving the block, and killed first if the block fails."""
+    with one_blas_thread() as pinned:
+        if not pinned or len(os.sched_getaffinity(0)) < 2:
+            yield items
+            return
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            os.close(read_fd)
+            _feed(items, write_fd)  # does not return
         os.close(write_fd)
-        raise
-    if pid == 0:
-        os.close(read_fd)
-        _feed(snapshots, write_fd)  # does not return
-    os.close(write_fd)
-    pipe = open(read_fd, "rb")
-    try:
-        yield _read_states(pipe, dim, count)
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        pipe.close()
-        os.waitpid(pid, 0)
+        pipe = open(read_fd, "rb")
+        try:
+            yield _received(pipe)
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            pipe.close()
+            os.waitpid(pid, 0)
 
 
-def _feed(snapshots, fd: int):
-    """The stepping child: write every state of `snapshots` to the pipe
-    `fd`, or the exception that stops it, and leave by `os._exit` without
+def _feed(items, fd: int):
+    """The child: write each item of `items` to the pipe `fd` as a pickled
+    ("item", item), then the end mark ("end", None) or ("failure", exc)
+    for the exception that stops it, and leave by `os._exit` without
     running the parent's exit handlers or printing anything."""
     try:
         with open(fd, "wb") as pipe:
             try:
-                for amps in snapshots:
-                    pipe.write(_STATE)
-                    pipe.write(amps)
+                for item in items:
+                    pickle.dump(("item", item), pipe)
                     pipe.flush()
+                message = ("end", None)
             except Exception as exc:
-                pipe.write(_FAILURE + pickle.dumps(exc))
+                message = ("failure", exc)
+            pickle.dump(message, pipe)
     finally:
         os._exit(0)
 
 
-def _read_states(pipe, dim: int, count: int):
-    for _ in range(count):
-        tag = pipe.read(1)
-        if tag == _FAILURE:
-            raise pickle.loads(pipe.read())
-        amps = np.empty(dim, dtype=complex)
-        if tag != _STATE or pipe.readinto(amps) != amps.nbytes:
-            raise RuntimeError("the stepping process ended before its last state")
-        yield amps
+def _received(pipe):
+    while True:
+        try:
+            tag, payload = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
+            raise RuntimeError("the child process ended before its end mark") from None
+        if tag == "failure":
+            raise payload
+        if tag == "end":
+            return
+        yield payload
 
 
 @dataclass
@@ -487,41 +488,29 @@ class SweepResult:
         return {N: run.fitted_K() for N, run in self.runs.items()}
 
 
-def _run_records(cfg: RunConfig, side: HartreeSide) -> list:
-    return run_simulation(cfg, side).records
-
-
 def sweep_N(cfg: RunConfig) -> SweepResult:
     """Run every N on one shared Hartree side and fit log-log slopes of
     the final-time indicators against N.
 
-    The runs go to one forked worker process per usable core, largest N
-    first. Every process computes with a one-thread OpenBLAS pool, so the
-    records equal a serial one-thread sweep bit for bit; where the pool
-    size cannot be set, one worker runs the N values in turn. The first
-    failure to arrive from a worker is raised here, and the runs that have
-    not started are dropped.
+    The N values wait in a job pipe, largest first, for one `_sweep_worker`
+    per usable core, each run through `_in_child`. A failure in a worker
+    is raised here, and the runs that have not started are dropped.
     """
-    # Imported here, not with the module: a single run never takes a pool,
-    # and the pool modules would add about 0.6 MB to every run's memory.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
     Ns = list(cfg.particles_list)
     if len(Ns) < 3:
         raise ConfigError(f"a sweep needs at least 3 values of N in --particles-list, got {Ns}")
     configs = {N: replace(cfg, particles=N, particles_list=()) for N in Ns}
-    with one_blas_thread() as pinned:
-        side = hartree_side(cfg)
-        workers = min(len(Ns), len(os.sched_getaffinity(0))) if pinned else 1
-        # Forked, not spawned: a worker then inherits the pinned pools and
-        # the imported modules instead of paying mfdyn's import again.
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-        try:
-            jobs = {pool.submit(_run_records, configs[N], side): N for N in reversed(Ns)}
-            records = {jobs[job]: job.result() for job in as_completed(jobs)}
-        finally:
-            pool.shutdown(cancel_futures=True)
+    side = hartree_side(cfg)
+    jobs, write_fd = os.pipe()
+    os.write(write_fd, b"".join(N.to_bytes(4, "little") for N in reversed(Ns)))
+    os.close(write_fd)  # before any fork, so an empty pipe reads as its end
+    with ExitStack() as stack:
+        stack.callback(os.close, jobs)
+        streams = [
+            stack.enter_context(_in_child(_sweep_worker(jobs, configs, side)))
+            for _ in range(min(len(Ns), len(os.sched_getaffinity(0))))
+        ]
+        records = dict(item for stream in streams for item in stream)
     runs = {N: RunResult(configs[N], records[N], side) for N in Ns}
 
     e_final = np.array([run.records[-1].E1 for run in runs.values()])
@@ -532,6 +521,22 @@ def sweep_N(cfg: RunConfig) -> SweepResult:
     e_slope = float(np.polyfit(logN, np.log(e_final), 1)[0])
     r_slope = float(np.polyfit(logN, np.log(r_final), 1)[0])
     return SweepResult(runs, e_slope, r_slope)
+
+
+def _sweep_worker(jobs: int, configs: dict, side: HartreeSide):
+    """Run N after N read from the job pipe `jobs` until it is empty, then
+    yield `(N, records)` of each run. A 4-byte read from a pipe is atomic,
+    so each N runs exactly once. A failing run takes every job left before
+    it is raised, so no N starts after it."""
+    done = []
+    try:
+        while job := os.read(jobs, 4):
+            N = int.from_bytes(job, "little")
+            done.append((N, run_simulation(configs[N], side).records))
+    except BaseException:
+        os.read(jobs, 4 * len(configs))
+        raise
+    yield from done
 
 
 def eta_curve(d: int, p_values: list[Fraction]):

@@ -1,8 +1,8 @@
 import json
 import math
-import multiprocessing
 import os
 import runpy
+import signal
 import subprocess
 import sys
 import time
@@ -55,8 +55,19 @@ def test_make_config_defaults_and_validation():
         make_config(p1=4.0, p2=2.0)  # needs p1 <= p2
     with pytest.raises(ConfigError):
         make_config(p="6/5")  # p must exceed p0(3)
-    with pytest.raises(ConfigError):
-        make_config(tfinal=1.0, dt=3e-4).steps  # not an integer multiple
+
+
+@pytest.mark.parametrize(
+    "tfinal, dt",
+    [(1.0, 3e-4), (1e-12, 1e-3), (1e300, 1e-300)],
+    ids=["not-a-multiple", "no-step", "overflow"],
+)
+def test_config_rejects_a_time_grid_without_whole_steps(tfinal, dt, capsys):
+    with pytest.raises(ConfigError, match="integer multiple of dt"):
+        make_config(tfinal=tfinal, dt=dt)
+    assert main(["simulate", "--tfinal", repr(tfinal), "--dt", repr(dt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_parse_config_file(tmp_path):
@@ -230,9 +241,12 @@ def test_sweep_workers_run_one_blas_thread_and_the_parent_keeps_its_pools(
     assert [r["blas"] for r in reports] == [{"numpy": 1, "scipy": 1}] * 3
 
 
-def test_sweep_without_blas_entry_points_runs_one_worker(tmp_path, monkeypatch):
+@pytest.mark.parametrize("reason", ["no-blas-entry-points", "one-core"])
+def test_sweep_without_pinned_pools_or_a_second_core_runs_in_one_process(
+    tmp_path, monkeypatch, reason
+):
     cfg = make_config(**FAST, particles_list=(2, 3, 4))
-    pinned = records_csv(sweep_N(cfg).records)
+    forked = records_csv(sweep_N(cfg).records)
     run = harness.run_simulation
 
     def reporting_run(cfg, side):
@@ -240,12 +254,15 @@ def test_sweep_without_blas_entry_points_runs_one_worker(tmp_path, monkeypatch):
         return run(cfg, side)
 
     monkeypatch.setattr(harness, "run_simulation", reporting_run)
-    monkeypatch.setattr(blas, "OPENBLAS_LIBS", [])
-    assert blas.openblas_pools() is None
+    if reason == "one-core":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    else:
+        monkeypatch.setattr(blas, "OPENBLAS_LIBS", [])
+        assert blas.openblas_pools() is None
     res = sweep_N(cfg)
     pids = {(tmp_path / f"{N}.pid").read_text() for N in cfg.particles_list}
-    assert len(pids) == 1 and pids != {str(os.getpid())}
-    assert records_csv(res.records) == pinned
+    assert pids == {str(os.getpid())}
+    assert records_csv(res.records) == forked
 
 
 FORK_ARGV = {
@@ -276,6 +293,39 @@ def test_cli_forks_without_a_deprecation_warning_at_default_threads(command):
     assert proc.stdout == records_csv(run(cfg).records)
 
 
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def runs_would_fork() -> bool:
+    return blas.openblas_pools() is not None and len(os.sched_getaffinity(0)) > 1
+
+
+def test_sweep_workers_outnumbering_the_cores_run_each_N_once(tmp_path, monkeypatch):
+    if not runs_would_fork():
+        pytest.skip("the sweep runs in this process")
+    cfg = make_config(**FAST, particles_list=(2, 3, 4, 5, 6))
+    one_per_core = records_csv(sweep_N(cfg).records)
+    run = harness.run_simulation
+
+    def logging_run(cfg, side):
+        with open(tmp_path / str(cfg.particles), "a") as log:
+            log.write(f"{os.getpid()}\n")
+        return run(cfg, side)
+
+    monkeypatch.setattr(harness, "run_simulation", logging_run)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))  # 5 workers
+    res = sweep_N(cfg)
+    for N in cfg.particles_list:
+        assert len((tmp_path / str(N)).read_text().split()) == 1
+    assert records_csv(res.records) == one_per_core
+    assert no_child_left()
+
+
 @pytest.mark.parametrize("error", [NumericalFailure, ConfigError])
 def test_sweep_raises_a_worker_failure_with_its_type_and_message(monkeypatch, error):
     def failing_run(cfg, side):
@@ -287,32 +337,46 @@ def test_sweep_raises_a_worker_failure_with_its_type_and_message(monkeypatch, er
     with pytest.raises(error) as info:
         sweep_N(make_config(**FAST, particles_list=(2, 3, 4)))
     assert type(info.value) is error and str(info.value) == "planted failure at N = 3"
-    assert multiprocessing.active_children() == []
+    assert no_child_left()
 
 
 def test_sweep_failure_drops_the_runs_still_waiting(tmp_path, monkeypatch):
-    def failing_run(cfg, side):
-        (tmp_path / str(cfg.particles)).touch()
-        if cfg.particles == 9:
-            raise NumericalFailure("planted failure at N = 9")
-        time.sleep(0.15)
+    # N = 9 goes first and fails at once. N = 8 fails in the second worker
+    # while the first runs N = 9, so the failing worker must take the jobs
+    # left. Either way N = 2, last in line, never starts.
+    for failing in (9, 8):
+        started = tmp_path / str(failing)
+        started.mkdir()
+
+        def failing_run(cfg, side, started=started, failing=failing):
+            (started / str(cfg.particles)).touch()
+            if cfg.particles == failing:
+                raise NumericalFailure(f"planted failure at N = {failing}")
+            time.sleep(0.15)
+            return harness.RunResult(cfg, [], side)
+
+        monkeypatch.setattr(harness, "run_simulation", failing_run)
+        with pytest.raises(NumericalFailure, match=f"planted failure at N = {failing}"):
+            sweep_N(make_config(**FAST, particles_list=tuple(range(2, 10))))
+        Ns = {int(path.name) for path in started.iterdir()}
+        assert failing in Ns and 2 not in Ns
+        assert no_child_left()
+
+
+def test_sweep_worker_killed_mid_sweep_raises_instead_of_dropping_its_runs(monkeypatch):
+    if not runs_would_fork():
+        pytest.skip("the sweep runs in this process")
+    test_pid = os.getpid()
+
+    def dying_run(cfg, side):
+        if cfg.particles == 3 and os.getpid() != test_pid:
+            os.kill(os.getpid(), signal.SIGKILL)
         return harness.RunResult(cfg, [], side)
 
-    monkeypatch.setattr(harness, "run_simulation", failing_run)
-    with pytest.raises(NumericalFailure, match="planted failure at N = 9"):
-        sweep_N(make_config(**FAST, particles_list=tuple(range(2, 10))))
-    # N = 9 goes first and fails at once; N = 2, last in line, never starts
-    started = {int(path.name) for path in tmp_path.iterdir()}
-    assert 9 in started and 2 not in started
-    assert multiprocessing.active_children() == []
-
-
-def no_child_left() -> bool:
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
+    monkeypatch.setattr(harness, "run_simulation", dying_run)
+    with pytest.raises(RuntimeError, match="ended before its end mark"):
+        sweep_N(make_config(**FAST, particles_list=(2, 3, 4)))
+    assert no_child_left()
 
 
 @pytest.mark.parametrize("error", [NumericalFailure, ConfigError])
@@ -330,6 +394,26 @@ def test_run_raises_a_stepping_failure_with_its_type_and_message(monkeypatch, er
     with pytest.raises(error) as info:
         run_simulation(make_config(**FAST))
     assert type(info.value) is error and str(info.value) == "planted failure at step 3"
+    assert no_child_left()
+
+
+def test_run_with_a_killed_stepping_child_raises_instead_of_ending_early(monkeypatch):
+    if not runs_would_fork():
+        pytest.skip("the run steps in this process")
+    test_pid = os.getpid()
+
+    class DyingStepper(harness.NBodyStepper):
+        calls = 0
+
+        def step(self, amps):
+            self.calls += 1
+            if self.calls == 3 and os.getpid() != test_pid:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return super().step(amps)
+
+    monkeypatch.setattr(harness, "NBodyStepper", DyingStepper)
+    with pytest.raises(RuntimeError, match="ended before its end mark"):
+        run_simulation(make_config(**FAST))
     assert no_child_left()
 
 
