@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: simulate, sweep, eta-curve, check.
+Subcommands: simulate, sweep, envelope, eta-curve, check.
 Exit codes: 0 success, 1 invalid configuration, 2 numerical failure,
-3 invariant-suite failure.
+3 invariant-suite failure or violated alpha envelope.
 """
 from __future__ import annotations
 
@@ -43,12 +43,14 @@ _HELP = {
 }
 
 
-def add_run_flags(parser: argparse.ArgumentParser) -> None:
-    """`--config` plus one text flag per `RunConfig` field."""
-    parser.add_argument("--config", help="optional `key = value` file; flags override it")
+def add_run_command(sub, name: str, fn, summary: str) -> None:
+    """Subcommand `name`, run by `fn`: `--config` plus a flag per `RunConfig` field."""
+    sp = sub.add_parser(name, help=summary)
+    sp.add_argument("--config", help="optional `key = value` file; flags override it")
     for f in fields(RunConfig):
-        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                            help=_HELP.get(f.name))
+        sp.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                        help=_HELP.get(f.name))
+    sp.set_defaults(fn=fn)
 
 
 def config_from_args(args) -> RunConfig:
@@ -62,11 +64,14 @@ def config_from_args(args) -> RunConfig:
 
 
 def _emit(csv_text: str, out: str) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(csv_text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def cmd_simulate(args) -> int:
@@ -91,6 +96,23 @@ def cmd_sweep(args) -> int:
     for N, K in sorted(result.fitted_Ks().items()):
         print(f"# fitted-K(N={N}) = {K!r}", file=sys.stderr)
     return 0
+
+
+def cmd_envelope(args) -> int:
+    cfg = config_from_args(args)
+    result = run_simulation(cfg)
+    if cfg.out:
+        _emit(records_csv(result.records), cfg.out)
+    print(f"{'t':>6} {'alpha':>12} {'envelope':>12} {'slack':>12} {'beta':>12}")
+    for r in result.records:
+        print(
+            f"{r.t:6.2f} {r.alpha:12.3e} {r.alpha_bound:12.3e} "
+            f"{r.slack_alpha:12.3e} {r.beta:12.3e}"
+        )
+    violated = any(r.slack_alpha < -1e-9 for r in result.records)
+    print(f"envelope violated: {violated}")
+    print(f"fitted-K for the beta envelope: {result.fitted_K():.6g}")
+    return 3 if violated else 0
 
 
 def cmd_eta_curve(args) -> int:
@@ -131,13 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("simulate", help="single run, CSV records")
-    add_run_flags(sp)
-    sp.set_defaults(fn=cmd_simulate)
-
-    sp = sub.add_parser("sweep", help="N-sweep with convergence-rate fit")
-    add_run_flags(sp)
-    sp.set_defaults(fn=cmd_sweep)
+    add_run_command(sub, "simulate", cmd_simulate, "single run, CSV records")
+    add_run_command(sub, "sweep", cmd_sweep, "N-sweep with convergence-rate fit")
+    add_run_command(sub, "envelope", cmd_envelope, "single run, alpha against its envelope")
 
     sp = sub.add_parser("eta-curve", help="rate exponent eta over a p grid")
     sp.add_argument("--dim", default="3", help="spatial dimension d of the rate exponent")

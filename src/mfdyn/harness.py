@@ -127,19 +127,23 @@ def make_config(**kwargs) -> RunConfig:
 
 def parse_config_file(path: str) -> dict:
     """Plain-text `key = value` configuration; unknown keys are errors."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (s.strip() for s in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key not in _DEFAULTS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = value
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (s.strip() for s in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in _DEFAULTS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        out[key] = value
     return out
 
 
@@ -258,21 +262,6 @@ def default_cutoffs(w: LatticeField) -> list[float]:
     return sorted(set([0.0, *(float(q) for q in qs), float(absw.max())]))
 
 
-@dataclass(frozen=True)
-class HartreeSide:
-    """The part of a run that does not depend on N, at its record steps
-    `0, stride, ..., steps`: the one-body Hamiltonian, the interaction,
-    the Hartree orbital (`orbitals[0]` is phi_0), and the exponents
-    phi(t) of the alpha envelope and phi~(t) of the beta envelope."""
-
-    h: np.ndarray
-    w: LatticeField
-    record_steps: list
-    orbitals: list
-    phi_ts: list
-    phi_tildes: list
-
-
 class LatticeProblem(NamedTuple):
     """The lattice problem of a config: grid, external potential (None
     for none), interaction, one-body Hamiltonian, initial orbital phi_0
@@ -295,6 +284,19 @@ def lattice_problem(cfg: RunConfig) -> LatticeProblem:
     return LatticeProblem(grid, v, w, h, initial_orbital(cfg, grid, h), record_steps)
 
 
+@dataclass(frozen=True)
+class HartreeSide:
+    """The part of a run that does not depend on N: its lattice problem,
+    and at each of the problem's record steps the Hartree orbital
+    (`orbitals[0]` is phi_0) and the exponents phi(t) of the alpha
+    envelope and phi~(t) of the beta envelope."""
+
+    problem: LatticeProblem
+    orbitals: list
+    phi_ts: list
+    phi_tildes: list
+
+
 def hartree_side(cfg: RunConfig, problem: LatticeProblem | None = None) -> HartreeSide:
     """Solve the Hartree flow of `cfg` and integrate both envelope
     exponents up to every record step; `problem` is `lattice_problem(cfg)`,
@@ -309,9 +311,7 @@ def hartree_side(cfg: RunConfig, problem: LatticeProblem | None = None) -> Hartr
     env = envelope_integrand(flow, cfg.dx, conjugate_q(cfg.p1), conjugate_q(cfg.p2))
     ptil = phi_tilde_integrand(flow, cfg.dx, h)
     return HartreeSide(
-        h=h,
-        w=w,
-        record_steps=record_steps,
+        problem=problem,
         orbitals=[Orbital(grid, values) for values in flow[record_steps]],
         phi_ts=[
             phi_envelope_integral(env[: k + 1], times[: k + 1], w_bound)
@@ -325,25 +325,19 @@ def run_simulation(cfg: RunConfig, side: HartreeSide | None = None) -> RunResult
     """Co-evolve Psi (exact) and phi (Hartree) for one N; one record per stride.
 
     `side` is `hartree_side(c)` of a config `c` that differs from `cfg` at
-    most in its N values; it is computed here when not given. Such a
-    top-level run steps Psi through `_in_child` while this process solves
-    the Hartree side and builds each record as its state arrives. A run
-    handed a `side`, such as a sweep's worker, steps Psi in its own process.
+    most in its N values; it is computed here when not given. Psi steps
+    through `_in_child` while this process solves the Hartree side, if it
+    was not given, and builds each record as its state arrives.
     """
     if cfg.particles_list:
         raise ConfigError("--particles-list belongs to `mfdyn sweep`; a run takes one N")
+    problem = lattice_problem(cfg) if side is None else side.problem
     basis = enumerate_basis(cfg.sites, cfg.particles)
-    if side is not None:
-        H = build_HN(side.h, side.w, basis)
-        psi0 = product_state(side.orbitals[0], basis).amps
-        snapshots = _snapshots(H, psi0, cfg, side.record_steps)
-        return RunResult(cfg, _records(cfg, basis, H, side, snapshots), side)
-
-    problem = lattice_problem(cfg)
     H = build_HN(problem.h, problem.w, basis)
     psi0 = product_state(problem.phi0, basis).amps
     with _in_child(_snapshots(H, psi0, cfg, problem.record_steps)) as states:
-        side = hartree_side(cfg, problem)
+        if side is None:
+            side = hartree_side(cfg, problem)
         records = _records(cfg, basis, H, side, states)
     return RunResult(cfg, records, side)
 
@@ -362,11 +356,11 @@ def _snapshots(H, amps: np.ndarray, cfg: RunConfig, record_steps: list):
 def _records(cfg: RunConfig, basis, H, side: HartreeSide, snapshots) -> list:
     """One record per snapshot of Psi, against the Hartree side at its step."""
     N = cfg.particles
-    h, w = side.h, side.w
+    h, w = side.problem.h, side.problem.w
     eta = float(cfg.eta)
     records: list[TimeRecord] = []
     for amps, k, phi_t, phi_env, ptil in zip(
-        snapshots, side.record_steps, side.orbitals, side.phi_ts, side.phi_tildes
+        snapshots, side.problem.record_steps, side.orbitals, side.phi_ts, side.phi_tildes
     ):
         state = ManyBodyState(basis, amps)
         g1 = gamma1(state)
@@ -399,6 +393,9 @@ def _records(cfg: RunConfig, basis, H, side: HartreeSide, snapshots) -> list:
     return records
 
 
+_forked = False  # True in a child of `_in_child`, which never forks again
+
+
 @contextmanager
 def _in_child(items):
     """Give the block an iterator over the unstarted generator `items`,
@@ -408,10 +405,15 @@ def _in_child(items):
     in a child forked (not spawned: it inherits the pinned pools and the
     imported modules) while this process goes on, and the items arrive
     through a pipe, equal bit for bit to those of a one-process, one-thread
-    run; elsewhere it runs in this process. A failure in the child is
-    raised from the iterator with its own type and message, and a stream
-    that ends without the end mark raises RuntimeError. The child is
-    reaped on leaving the block, and killed first if the block fails."""
+    run; elsewhere, and in a process forked here, which never forks again,
+    it runs in this process. A failure in the child is raised from the
+    iterator with its own type and message, and a stream that ends without
+    the end mark raises RuntimeError. The child is reaped on leaving the
+    block, and killed first if the block fails."""
+    global _forked
+    if _forked:
+        yield items
+        return
     with one_blas_thread() as pinned:
         if not pinned or len(os.sched_getaffinity(0)) < 2:
             yield items
@@ -424,6 +426,7 @@ def _in_child(items):
             os.close(write_fd)
             raise
         if pid == 0:
+            _forked = True
             os.close(read_fd)
             _feed(items, write_fd)  # does not return
         os.close(write_fd)

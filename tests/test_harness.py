@@ -130,12 +130,13 @@ def test_records_use_hartree_orbital_of_their_step():
         [lp_norm(f, conjugate_q(cfg.p1)) + lp_norm(f, conjugate_q(cfg.p2)) for f in fields]
     )
     side = harness.hartree_side(cfg)
-    assert side.record_steps == [0, 4, 8, 10]  # the last step is a record step
-    assert len(side.orbitals) == len(side.record_steps)
-    for k, orb in zip(side.record_steps, side.orbitals):
+    record_steps = side.problem.record_steps
+    assert record_steps == [0, 4, 8, 10]  # the last step is a record step
+    assert len(side.orbitals) == len(record_steps)
+    for k, orb in zip(record_steps, side.orbitals):
         assert np.array_equal(orb.values, flow[k])
     res = run_simulation(cfg)
-    assert [round(r.t / cfg.dt) for r in res.records] == side.record_steps
+    assert [round(r.t / cfg.dt) for r in res.records] == record_steps
     for r in res.records:
         k = round(r.t / cfg.dt)
         assert r.Ephi == hartree_energy(Orbital(grid, flow[k]), h, w)
@@ -323,6 +324,28 @@ def test_sweep_workers_outnumbering_the_cores_run_each_N_once(tmp_path, monkeypa
     for N in cfg.particles_list:
         assert len((tmp_path / str(N)).read_text().split()) == 1
     assert records_csv(res.records) == one_per_core
+    assert no_child_left()
+
+
+def test_runs_in_a_forked_child_never_fork_again(tmp_path, monkeypatch):
+    # a sweep worker steps Psi in its own process: every process that
+    # steps is a child of this one, and there are no more than workers
+    if not runs_would_fork():
+        pytest.skip("the sweep runs in this process")
+    log = tmp_path / "stepping"
+    snapshots = harness._snapshots
+
+    def logging_snapshots(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {os.getppid()}\n")
+        yield from snapshots(*args)
+
+    monkeypatch.setattr(harness, "_snapshots", logging_snapshots)
+    sweep_N(make_config(**FAST, particles_list=(2, 3, 4)))
+    pairs = [line.split() for line in log.read_text().splitlines()]
+    assert len(pairs) == 3
+    assert {ppid for _, ppid in pairs} == {str(os.getpid())}
+    assert len({pid for pid, _ in pairs}) <= min(3, len(os.sched_getaffinity(0)))
     assert no_child_left()
 
 
@@ -598,6 +621,68 @@ def test_cli_sweep_numerical_failure_in_a_worker(capfd):
     assert "Traceback" not in err
 
 
+def test_cli_envelope_runs(tmp_path, capfd):
+    out = tmp_path / "run.csv"
+    rc = main(
+        ["envelope", "--sites", "6", "--particles", "3", "--tfinal", "0.05",
+         "--dt", "0.005", "--stride", "5", "--out", str(out)]
+    )
+    assert rc == 0
+    lines = capfd.readouterr().out.splitlines()
+    assert lines[-2] == "envelope violated: False"
+    assert lines[-1].startswith("fitted-K for the beta envelope: ")
+    cfg = make_config(sites=6, particles=3, tfinal=0.05, dt=0.005, stride=5)
+    assert out.read_text() == records_csv(run_simulation(cfg).records)
+
+
+def test_cli_envelope_reads_stride_from_config_file(tmp_path, capfd):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("stride = 5\nsites = 6\nparticles = 3\ntfinal = 0.05\ndt = 0.005\n")
+    assert main(["envelope", "--config", str(cfg_file)]) == 0
+    lines = capfd.readouterr().out.splitlines()
+    assert lines[0].split() == ["t", "alpha", "envelope", "slack", "beta"]
+    # records at steps 0, 5, 10; a `--stride` default of its own would drop one
+    assert lines.index("envelope violated: False") == 1 + 3
+
+
+def test_cli_envelope_violated_exits_3(monkeypatch, capfd):
+    monkeypatch.setattr(harness, "gronwall_alpha_bound", lambda alpha0, N, phi_t: 0.0)
+    rc = main(["envelope", *(f"--{k}={v}" for k, v in FAST.items())])
+    assert rc == 3
+    assert capfd.readouterr().out.splitlines()[-2] == "envelope violated: True"
+
+
+def test_cli_envelope_rejects_particles_list(capfd):
+    rc = main(["envelope", "--particles-list", "2,3,4"])
+    err = capfd.readouterr().err
+    assert rc == 1
+    assert "--particles-list" in err.splitlines()[-1]
+    assert "Traceback" not in err
+
+
+def test_cli_envelope_reports_numerical_failure(capfd):
+    # an absurd dt leaves the Krylov exponential unconverged at maxdim;
+    # exit 3 would read as "envelope violated"
+    rc = main(
+        ["envelope", "--sites", "6", "--particles", "3", "--tfinal", "1000000",
+         "--dt", "1000000", "--stride", "1"]
+    )
+    err = capfd.readouterr().err
+    assert rc == 2
+    assert err.startswith("numerical failure: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_cli_envelope_reports_run_config_errors(capfd):
+    # the basis cap is checked inside the run, after the flags parse
+    rc = main(["envelope", "--sites", "30", "--particles", "9"])
+    err = capfd.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "above the cap" in err
+    assert "Traceback" not in err
+
+
 def test_cli_eta_curve_output(capsys):
     rc = main(["eta-curve", "--dim", "3", "--p-grid", "1,3/2,2"])
     assert rc == 0
@@ -665,6 +750,12 @@ def test_cli_sweep_caps_only_the_N_it_runs(tmp_path):
         ["simulate", "--initial", "gaussian:nan,1"],
         ["simulate", "--initial", "gaussian:1,inf"],
         ["simulate", "--config", "{method_cfg}"],
+        ["simulate", "--config", "{tmp_path}/missing.cfg"],
+        ["simulate", "--config", "{tmp_path}"],
+        ["simulate", "--config", "{binary_cfg}"],
+        ["simulate", "--sites", "4", "--particles", "2", "--tfinal", "0.01", "--dt", "0.005",
+         "--out", "{tmp_path}/missing/run.csv"],
+        ["eta-curve", "--p-grid", "3/2", "--out", "{tmp_path}/missing/eta.csv"],
     ],
 )
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
@@ -673,7 +764,10 @@ def test_cli_malformed_input_exits_1(argv, tmp_path, capsys):
     bad_cfg.write_text("sites = abc\n")
     method_cfg = tmp_path / "method.cfg"
     method_cfg.write_text("method = dense\n")
-    rc = main([a.format(bad_cfg=bad_cfg, method_cfg=method_cfg) for a in argv])
+    binary_cfg = tmp_path / "binary.cfg"
+    binary_cfg.write_bytes(b"\xff\xfe sites = 6\n")
+    names = dict(bad_cfg=bad_cfg, method_cfg=method_cfg, binary_cfg=binary_cfg, tmp_path=tmp_path)
+    rc = main([a.format(**names) for a in argv])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and len(err.splitlines()) == 1
@@ -690,7 +784,7 @@ def test_cli_help_names_every_spec_kind(capsys):
             assert kind in out
 
 
-@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("command", ["simulate", "sweep", "envelope"])
 def test_every_config_field_has_a_flag(command):
     for f in fields(RunConfig):
         args = build_parser().parse_args([command, "--" + f.name.replace("_", "-"), "7"])
