@@ -1,9 +1,9 @@
 """Runnable invariant suites backing the `check` CLI subcommand, and the
 first-quantised reference they and the tests compare against: the dense
-tensor-space Hamiltonian and symmetrizer, the occupation-to-tensor and
-pair-to-tensor isometries, tensor sector projectors, the hierarchy and
-mean-field residuals, and exact N-body propagation. No run imports this
-module.
+tensor-space Hamiltonian and symmetrizer, the occupation-to-tensor isometry
+(which also embeds the k-particle mode space of a density matrix), tensor
+sector projectors, the hierarchy and mean-field residuals, and exact N-body
+propagation. No run imports this module.
 
 Each suite returns CheckResult rows with measured residuals; a suite passes
 iff every row does.
@@ -22,11 +22,11 @@ from .bounds import eta_of, p0_of
 from .errors import ConfigError
 from .fock import (
     OccupationBasis,
-    _multinomial,
+    _sqrt_multinomial,
     build_HN,
     enumerate_basis,
+    k_basis,
     product_state,
-    sector_modes,
 )
 from .lattice import (
     Grid,
@@ -109,9 +109,9 @@ def exact_propagator(H, dt: float) -> np.ndarray:
 def occupation_to_tensor_isometry(basis: OccupationBasis) -> np.ndarray:
     """(M^N, dim) isometry mapping occupation vectors to symmetric tensors."""
     M, N = basis.sites, basis.particles
-    occ = (_site_indices(M, N)[:, :, None] == np.arange(M)).sum(axis=1)
+    rows = basis.rank((_site_indices(M, N)[:, :, None] == np.arange(M)).sum(axis=1))
     U = np.zeros((M**N, basis.dim))
-    U[np.arange(M**N), basis.rank(occ)] = np.sqrt((1 / _multinomial(occ, N)).astype(float))
+    U[np.arange(M**N), rows] = 1 / _sqrt_multinomial(basis)[rows]
     return U
 
 
@@ -135,23 +135,13 @@ def tensor_hat_f(f: np.ndarray, phi: Orbital, N: int) -> np.ndarray:
     return sum(f[k] * Pk[k] for k in range(N + 1))
 
 
-def pair_isometry(M: int) -> np.ndarray:
-    """(M^2, M(M+1)/2) isometry embedding the symmetric pair space of
-    `fock.sector_modes` into C^M (x) C^M."""
-    (x, y), weight = sector_modes(M, 2)
-    S = np.zeros((M * M, x.size))
-    pairs = np.arange(x.size)
-    S[x * M + y, pairs] = S[y * M + x, pairs] = 1.0 / weight
-    return S
-
-
 def tensor_gamma2(g2: DensityMatrix) -> np.ndarray:
     """A two-particle density matrix on C^M (x) C^M, embedded from the pair
-    space through `pair_isometry`."""
+    space `fock.k_basis(M, 2)` through its occupation-to-tensor isometry."""
     if g2.k != 2:
         raise ConfigError("expected a two-particle density matrix")
     M = math.isqrt(8 * g2.mat.shape[0] + 1) // 2  # pairs = M(M+1)/2
-    S = pair_isometry(M)
+    S = occupation_to_tensor_isometry(k_basis(M, 2))
     return S @ g2.mat @ S.T
 
 
@@ -236,10 +226,10 @@ def _random_orbital(rng, grid: Grid) -> Orbital:
 
 def random_symmetric_gamma2(rng, M: int) -> DensityMatrix:
     """Random two-particle density matrix: a random density matrix on
-    C^M (x) C^M compressed to the symmetric pair space through
-    `pair_isometry`, which is the pair-space form of projecting it with the
-    two-particle symmetrizer."""
-    S = pair_isometry(M)
+    C^M (x) C^M compressed to the symmetric pair space through the
+    occupation-to-tensor isometry of `fock.k_basis(M, 2)`, which is the
+    pair-space form of projecting it with the two-particle symmetrizer."""
+    S = occupation_to_tensor_isometry(k_basis(M, 2))
     rho = S.T @ _random_density(rng, M * M) @ S
     return DensityMatrix(2, rho / np.trace(rho).real)
 

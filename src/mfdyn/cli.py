@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 invalid configuration, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 from fractions import Fraction
@@ -55,12 +56,23 @@ def add_run_command(sub, name: str, fn, summary: str) -> None:
 
 def config_from_args(args) -> RunConfig:
     """Merge the config file and the flags as text, flags winning, then
-    convert each setting with `parse_setting`."""
+    convert each setting with `parse_setting`; refuse an `out` that cannot
+    be written before anything runs."""
     text = parse_config_file(args.config) if args.config else {}
     for f in fields(RunConfig):
         if getattr(args, f.name) is not None:
             text[f.name] = getattr(args, f.name)
-    return make_config(**{key: parse_setting(key, val) for key, val in text.items()})
+    cfg = make_config(**{key: parse_setting(key, val) for key, val in text.items()})
+    _check_out(cfg.out)
+    return cfg
+
+
+def _check_out(out: str) -> None:
+    """Refuse an `out` whose directory cannot be written. The file is left
+    unopened, so a failed run leaves none; `_emit` reports later failures."""
+    folder = os.path.dirname(out) or "."
+    if out and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ConfigError(f"cannot write {out}: {folder} is not a writable directory")
 
 
 def _emit(csv_text: str, out: str) -> None:
@@ -124,6 +136,7 @@ def cmd_eta_curve(args) -> int:
         ps = [Fraction(s) for s in args.p_grid.split(",") if s]
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"p-grid: {exc}") from None
+    _check_out(args.out or "")
     rows, skipped = eta_curve(d, ps)
     for p in skipped:
         print(f"# warning: p={p} outside (p0, 2], skipped", file=sys.stderr)

@@ -77,43 +77,38 @@ def enumerate_basis(M: int, N: int) -> OccupationBasis:
 
 
 @functools.cache
-def sector_modes(M: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The modes of the symmetric k-particle space, k in {1, 2}: a (k, modes)
-    array of the sorted site tuples x_1 <= ... <= x_k in row-major order, and
-    the weight sqrt(2) for a pair x < y, 1 otherwise: the sum of the distinct
-    permutations of e_x1 (x) ... (x) e_xk, divided by the weight, is a unit
-    vector. gamma1, gamma2 and the condensate vectors are written in this
-    order. Made once per (M, k) and shared by every caller, so the arrays
-    are read-only."""
-    if k not in (1, 2):
-        raise ConfigError(f"only k in {{1, 2}} is supported, got {k}")
-    sites = np.array(list(itertools.combinations_with_replacement(range(M), k))).T
-    weight = np.where(sites[0] < sites[-1], np.sqrt(2.0), 1.0)
-    for a in (sites, weight):
-        a.flags.writeable = False
-    return sites, weight
+def k_basis(M: int, k: int) -> OccupationBasis:
+    """The occupation basis of k particles on M sites, the mode space of
+    gamma^(k) and phi^(x)k: mode m is the unit symmetric tensor with
+    occupations `states[m]`. Made once per (M, k) and shared by every
+    caller, so its states are read-only."""
+    basis = enumerate_basis(M, k)
+    basis.states.flags.writeable = False
+    return basis
 
 
 def _lowering_map(basis: OccupationBasis, k: int):
-    """The N-k basis, and for every mode x_1 <= ... <= x_k of `sector_modes`
-    and state t of it the row of t + e_x1 + ... + e_xk in `basis` with the
-    amplitude sqrt(prod_i (t_xi + 1 + #{j < i : x_j = x_i})) of
-    a_x1 ... a_xk, times the mode's weight."""
+    """The N-k basis, and for every mode m of `k_basis(M, k)` and state t of
+    the N-k basis the row of t + m in `basis` with the amplitude
+    sqrt(prod_x (t_x + m_x)! / t_x!) of a^m = prod_x a_x^(m_x), times the
+    mode's weight sqrt(k! / prod_x m_x!)."""
     key = ("lower", k)
     if key not in basis._cache:
-        sites, weight = sector_modes(basis.sites, k)
         if basis.particles < k:
             raise ConfigError(f"cannot lower {basis.particles} particles by {k}")
+        kb = k_basis(basis.sites, k)
         sub = enumerate_basis(basis.sites, basis.particles - k)
-        modes = np.arange(weight.size)
-        raised = np.zeros((weight.size, basis.sites), dtype=np.int64)
-        count = np.ones((weight.size, sub.dim), dtype=np.int64)  # under the sqrt
-        for x in sites:
+        modes = np.arange(kb.dim)
+        # row i holds the i-th site of every mode, x_1 <= ... <= x_k
+        sites = np.repeat(np.tile(np.arange(basis.sites), kb.dim), kb.states.ravel())
+        raised = np.zeros((kb.dim, basis.sites), dtype=np.int64)
+        count = np.ones((kb.dim, sub.dim), dtype=np.int64)  # under the sqrt
+        for x in sites.reshape(kb.dim, k).T:
             raised[modes, x] += 1
             count *= sub.states.T[x] + raised[modes, x][:, None]
-        rows = np.stack([basis.rank(sub.states + r) for r in raised])
+        rows = np.stack([basis.rank(sub.states + r) for r in kb.states])
         coef = np.sqrt(count)
-        coef *= weight[:, None]  # in place: a temporary here raised peak RSS
+        coef *= _sqrt_multinomial(kb)[:, None]  # in place: a temporary here raised peak RSS
         basis._cache[key] = (sub, rows, coef)
     return basis._cache[key]
 
@@ -123,7 +118,7 @@ def annihilate(
 ) -> tuple[np.ndarray, OccupationBasis]:
     """The components of a_x1 ... a_xk v on the symmetric k-particle space,
     for every vector v on the last axis of `amps`: shape (..., dim) ->
-    (..., modes, dim of the N-k sector), modes as in `sector_modes`, with
+    (..., modes, dim of the N-k sector), modes as in `k_basis(M, k)`, with
     the N-k basis.
 
     a_x1 ... a_xk is injective on each sector, so every entry is a single
@@ -244,11 +239,18 @@ def product_state(phi: Orbital, basis: OccupationBasis) -> ManyBodyState:
     """phi^(x) N: amplitude sqrt(N!/prod n!) * prod (sqrt(dx) phi(x))^n_x."""
     if basis.sites != phi.grid.sites:
         raise ConfigError("orbital and basis have different site counts")
-    coef = np.sqrt(_multinomial(basis.states, basis.particles).astype(float))
-    return ManyBodyState(basis, coef * np.prod(phi.mode**basis.states, axis=1))
+    # np.prod(..., axis=1) without its Python wrapper: E_k and R_k call this per record
+    amps = np.multiply.reduce(phi.mode**basis.states, 1)
+    return ManyBodyState(basis, _sqrt_multinomial(basis) * amps)
 
 
-def _multinomial(states: np.ndarray, N: int) -> np.ndarray:
-    """Exact N!/prod(n!) for each occupation row, as Python ints."""
-    fact = np.array([math.factorial(k) for k in range(N + 1)], dtype=object)
-    return math.factorial(N) // fact[states].prod(axis=-1)
+def _sqrt_multinomial(basis: OccupationBasis) -> np.ndarray:
+    """sqrt(N!/prod n!) per state, exact in Python ints before the sqrt;
+    made once per basis and read-only."""
+    if "multinomial" not in basis._cache:
+        N = basis.particles
+        fact = np.array([math.factorial(n) for n in range(N + 1)], dtype=object)
+        coef = np.sqrt((math.factorial(N) // fact[basis.states].prod(axis=-1)).astype(float))
+        coef.flags.writeable = False
+        basis._cache["multinomial"] = coef
+    return basis._cache["multinomial"]

@@ -22,8 +22,10 @@ class Grid:
     def __post_init__(self):
         if self.sites < 2:
             raise ConfigError(f"grid needs at least 2 sites, got {self.sites}")
-        if not self.spacing > 0:
-            raise ConfigError(f"grid spacing must be positive, got {self.spacing}")
+        if not (self.spacing > 0 and self.spacing**2 > 2.0 / np.finfo(float).max):
+            raise ConfigError(
+                f"grid spacing must be positive with a finite 2/dx^2, got {self.spacing}"
+            )
 
     @property
     def length(self) -> float:

@@ -1,8 +1,9 @@
 """Reduced density matrices and the closeness indicators.
 
 Density matrices are mode-basis matrices with plain trace 1; the condensate
-comparison uses the sqrt(dx)-scaled orbital mode vector. The two-particle
-matrix lives on the symmetric pair space of `fock.sector_modes`.
+comparison uses the sqrt(dx)-scaled orbital mode vector. The k-particle
+matrix lives on the symmetric k-particle space `fock.k_basis(M, k)`, and
+phi^(x)k is the product state of phi on that basis.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure
-from .fock import ManyBodyState, annihilate, sector_modes
+from .fock import ManyBodyState, annihilate, k_basis, product_state
 from .onebody import Orbital
 
 HERM_TOL = 1e-10
@@ -22,18 +23,18 @@ TRACE_TOL = 1e-10
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian positive unit-trace operator on the k-particle mode space:
-    M x M for k = 1; for k = 2, M(M+1)/2 square on the symmetric pair space
-    of `fock.sector_modes`, which holds every bosonic two-particle state. Its
-    embedding into C^M (x) C^M through the pair isometry (`checks`) is the
-    tensor-space matrix, with the same nonzero spectrum."""
+    C(M+k-1, k) square on the symmetric k-particle space `fock.k_basis(M, k)`
+    (M x M for k = 1), which holds every bosonic k-particle state. Its
+    embedding into (C^M)^(x)k through `checks.occupation_to_tensor_isometry`
+    is the tensor-space matrix, with the same nonzero spectrum."""
 
     k: int
     mat: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.mat, dtype=complex)
-        if self.k not in (1, 2):
-            raise ConfigError(f"only k in {{1, 2}} is supported, got {self.k}")
+        if self.k < 1:
+            raise ConfigError(f"a density matrix needs k >= 1 particles, got {self.k}")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConfigError("density matrix must be square")
         # `not <=`, so that a NaN entry fails both checks
@@ -44,39 +45,30 @@ class DensityMatrix:
         object.__setattr__(self, "mat", m)
 
 
-def _gamma(psi: ManyBodyState, k: int) -> DensityMatrix:
+def gamma(psi: ManyBodyState, k: int) -> DensityMatrix:
     """<a_y1^dag ... a_yk^dag a_xk ... a_x1> / (N!/(N-k)!) on the symmetric
-    k-particle space: one gather of every component of a_x1 ... a_xk Psi."""
+    k-particle space, 1 <= k <= N: one gather of every component of
+    a_x1 ... a_xk Psi."""
     N = psi.basis.particles
-    if N < k:
-        raise ConfigError(f"gamma{k} needs at least {k} particles, got {N}")
+    if not 1 <= k <= N:
+        raise ConfigError(f"gamma{k} needs 1 <= k <= N, got N={N}")
     B, _ = annihilate(psi.amps, psi.basis, k)
     return DensityMatrix(k, (B @ B.conj().T) / math.perm(N, k))
 
 
 def gamma1(psi: ManyBodyState) -> DensityMatrix:
     """gamma1[x, y] = <a_y^dag a_x> / N."""
-    return _gamma(psi, 1)
+    return gamma(psi, 1)
 
 
 def gamma2(psi: ManyBodyState) -> DensityMatrix:
     """<a_y1^dag a_y2^dag a_x2 a_x1> / (N(N-1)) on the symmetric pair space."""
-    return _gamma(psi, 2)
-
-
-def _condensate_vector(phi: Orbital, k: int) -> np.ndarray:
-    """phi^(x)k in the mode space of a k-particle density matrix: per mode,
-    the weight times u[x_1] ... u[x_k], multiplied left to right."""
-    sites, uk = sector_modes(phi.grid.sites, k)
-    u = phi.mode
-    for x in sites:
-        uk = uk * u[x]
-    return uk
+    return gamma(psi, 2)
 
 
 def _condensate_vector_for(gamma: DensityMatrix, phi: Orbital) -> np.ndarray:
     """phi^(x)k for the k of `gamma`, checked against its mode space."""
-    uk = _condensate_vector(phi, gamma.k)
+    uk = product_state(phi, k_basis(phi.grid.sites, gamma.k)).amps
     if uk.shape[0] != gamma.mat.shape[0]:
         raise ConfigError("orbital dimension does not match the density matrix")
     return uk
@@ -85,11 +77,11 @@ def _condensate_vector_for(gamma: DensityMatrix, phi: Orbital) -> np.ndarray:
 def E_k(gamma: DensityMatrix, phi: Orbital) -> float:
     """1 - <phi^(x)k, gamma phi^(x)k>."""
     uk = _condensate_vector_for(gamma, phi)
-    return float(1.0 - np.real(np.vdot(uk, gamma.mat @ uk)))
+    return float(1.0 - np.vdot(uk, gamma.mat @ uk).real)
 
 
 def R_k(gamma: DensityMatrix, phi: Orbital) -> float:
     """Trace norm of gamma - |phi><phi|^(x)k."""
     uk = _condensate_vector_for(gamma, phi)
-    diff = gamma.mat - np.outer(uk, uk.conj())
+    diff = gamma.mat - uk[:, None] * uk.conj()  # np.outer's bytes, without its wrapper
     return float(np.sum(np.abs(np.linalg.eigvalsh(diff))))

@@ -11,13 +11,14 @@ from mfdyn.errors import ConfigError
 from mfdyn.fock import (
     ManyBodyState,
     _onebody_pattern,
+    _sqrt_multinomial,
     annihilate,
     build_HN,
     enumerate_basis,
     interaction_diagonal,
+    k_basis,
     product_state,
     second_quantize_onebody,
-    sector_modes,
 )
 from mfdyn.lattice import Grid, LatticeField, sample_interaction
 from mfdyn.onebody import Orbital, build_h, condensate_projectors
@@ -250,15 +251,35 @@ def test_pair_map_equals_two_annihilations(rng, M, N):
     P, sub2 = annihilate(v, basis, 2)
     A, sub = annihilate(v, basis, 1)
     B, _ = annihilate(A, sub, 1)  # B[k, y, x] = a_x a_y v_k
-    (x, y), weight = sector_modes(M, 2)
+    x, y = np.triu_indices(M)
+    weight = np.where(x < y, math.sqrt(2.0), 1.0)
     assert sub2.particles == N - 2 and P.shape == (2, M * (M + 1) // 2, sub2.dim)
     assert np.allclose(P, weight[:, None] * B[:, y, x], atol=1e-12, rtol=0)
-    assert np.array_equal(weight, np.where(x < y, math.sqrt(2.0), 1.0))
-    assert [(int(a), int(b)) for a, b in zip(x, y)] == [
-        (a, b) for a in range(M) for b in range(a, M)
-    ]
+    # the pair modes are the two-particle occupation basis, pairs x <= y in
+    # row-major order, and its multinomial weights are sqrt(2) and 1
+    eye = np.eye(M, dtype=np.int64)
+    assert np.array_equal(k_basis(M, 2).states, eye[x] + eye[y])
+    assert np.array_equal(_sqrt_multinomial(k_basis(M, 2)), weight)
     with pytest.raises(ConfigError):
         annihilate(np.ones(M), enumerate_basis(M, 1), 2)
+
+
+@pytest.mark.parametrize("M, N, k", [(3, 3, 3), (4, 5, 3), (3, 5, 4)])
+def test_k_map_equals_k_annihilations(rng, M, N, k):
+    # mode m of the k-particle basis, sites x_1 <= ... <= x_k, carries
+    # sqrt(k!/prod m_x!) times a_x1 ... a_xk v
+    basis = enumerate_basis(M, N)
+    v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    P, subk = annihilate(v, basis, k)
+    B, sub = v, basis
+    for _ in range(k):
+        B, sub = annihilate(B, sub, 1)  # B[x_1, ..., x_k] = a_xk ... a_x1 v
+    kb = k_basis(M, k)
+    assert subk.particles == N - k and P.shape == (kb.dim, subk.dim)
+    for m, occ in enumerate(kb.states):
+        sites = np.repeat(np.arange(M), occ)
+        weight = math.sqrt(math.factorial(k) / np.prod([math.factorial(n) for n in occ]))
+        assert np.allclose(P[m], weight * B[tuple(sites)], atol=1e-12, rtol=0)
 
 
 def test_symmetrizer_is_projector():

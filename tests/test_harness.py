@@ -756,6 +756,8 @@ def test_cli_sweep_caps_only_the_N_it_runs(tmp_path):
         ["simulate", "--sites", "4", "--particles", "2", "--tfinal", "0.01", "--dt", "0.005",
          "--out", "{tmp_path}/missing/run.csv"],
         ["eta-curve", "--p-grid", "3/2", "--out", "{tmp_path}/missing/eta.csv"],
+        ["simulate", "--dx", "1e-200", "--tfinal", "0.01"],  # dx^2 underflows to 0
+        ["simulate", "--dx", "1e-160", "--tfinal", "0.01"],  # 2/dx^2 overflows
     ],
 )
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
@@ -772,6 +774,26 @@ def test_cli_malformed_input_exits_1(argv, tmp_path, capsys):
     assert rc == 1
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "envelope", "eta-curve"])
+def test_cli_refuses_out_into_a_missing_directory_before_the_run(
+    command, tmp_path, monkeypatch, capsys
+):
+    def never(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for name in ("run_simulation", "sweep_N", "eta_curve"):
+        monkeypatch.setattr(f"mfdyn.cli.{name}", never)
+    out = tmp_path / "missing" / "x.csv"
+    argv = [command, "--out", str(out)]
+    argv += ["--p-grid", "3/2"] if command == "eta-curve" else ["--tfinal", "0.01"]
+    if command == "sweep":
+        argv += ["--particles-list", "2,3"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out.parent.exists()
 
 
 def test_cli_help_names_every_spec_kind(capsys):

@@ -34,6 +34,10 @@ def test_grid_validation():
         Grid(1, 1.0)
     with pytest.raises(ConfigError):
         Grid(4, 0.0)
+    with pytest.raises(ConfigError):
+        Grid(4, 1e-200)  # dx^2 underflows to 0
+    with pytest.raises(ConfigError):
+        Grid(4, 1e-160)  # 2/dx^2 overflows to inf
 
 
 def test_field_validation(grid6):

@@ -9,17 +9,24 @@ from mfdyn.checks import (
     bbgky_rhs_k1,
     mean_field_sandwich_residual,
     occupation_to_tensor_isometry,
-    pair_isometry,
     partial_trace_2to1,
     seiringer_check,
     tensor_gamma2,
 )
 from mfdyn.errors import ConfigError, NumericalFailure
-from mfdyn.fock import ManyBodyState, build_HN, enumerate_basis, product_state, sector_modes
+from mfdyn.condensate import occupation_weights
+from mfdyn.fock import (
+    ManyBodyState,
+    _sqrt_multinomial,
+    build_HN,
+    enumerate_basis,
+    k_basis,
+    product_state,
+)
 from mfdyn.lattice import Grid, sample_interaction
 from mfdyn.onebody import Orbital, build_h
 from mfdyn.propagate import NBodyStepper, PropagatorConfig
-from mfdyn.reduce import DensityMatrix, E_k, R_k, _condensate_vector, gamma1, gamma2
+from mfdyn.reduce import DensityMatrix, E_k, R_k, gamma, gamma1, gamma2
 
 from conftest import random_orbital
 
@@ -45,7 +52,8 @@ def tensor_gamma_k(psi: ManyBodyState, k: int) -> np.ndarray:
 
 def test_density_matrix_validation():
     with pytest.raises(ConfigError):
-        DensityMatrix(3, np.eye(2))
+        DensityMatrix(0, np.eye(2) / 2)
+    assert DensityMatrix(3, np.eye(4) / 4).k == 3  # any k >= 1
     with pytest.raises(NumericalFailure):
         DensityMatrix(1, np.array([[0.5, 0.3], [0.0, 0.5]]))  # not Hermitian
     with pytest.raises(NumericalFailure):
@@ -111,7 +119,8 @@ def test_partial_trace_consistency(rng):
 
 def test_gamma2_supported_on_symmetric_subspace(rng):
     # the tensor-space gamma2 of a bosonic state is swap-invariant and lies
-    # in the range of the pair isometry, so the pair space loses nothing
+    # in the range of the isometry of the two-particle occupation basis, so
+    # the pair space loses nothing
     psi = random_state(rng, 3, 3)
     g2 = tensor_gamma_k(psi, 2)
     M = 3
@@ -121,7 +130,7 @@ def test_gamma2_supported_on_symmetric_subspace(rng):
             swap[y * M + x, x * M + y] = 1.0
     assert np.allclose(swap @ g2, g2, atol=1e-12)
     assert np.allclose(g2 @ swap, g2, atol=1e-12)
-    S = pair_isometry(M)
+    S = occupation_to_tensor_isometry(enumerate_basis(M, 2))
     assert np.allclose(S.T @ S, np.eye(M * (M + 1) // 2), atol=1e-15)
     assert np.allclose(S @ S.T @ g2 @ S @ S.T, g2, atol=1e-12)
 
@@ -145,22 +154,21 @@ def test_indicator_zero_on_condensate(rng, grid6):
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_pair_modes_are_made_once_and_read_only(rng, grid6, k):
-    # E_k and R_k share one set of mode arrays per (M, k); no caller may write them
-    modes = sector_modes(6, k)
-    assert sector_modes(6, k) is modes
-    for a in modes:
+    # E_k and R_k share one k-particle basis per (M, k), and one multinomial
+    # vector on it; no caller may write them
+    kb = k_basis(6, k)
+    assert k_basis(6, k) is kb
+    assert _sqrt_multinomial(kb) is _sqrt_multinomial(kb)
+    for a in (kb.states, _sqrt_multinomial(kb)):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = a[0]
-    # on the shared arrays, E_k and R_k equal the same formulas evaluated on
-    # a condensate vector built afresh (pairs from np.triu_indices)
+    # on the shared basis, E_k and R_k equal the same formulas evaluated on
+    # a condensate vector built afresh on a basis of its own
     psi = random_state(rng, 6, 3)
     g = gamma1(psi) if k == 1 else gamma2(psi)
     phi = random_orbital(rng, grid6)
-    uk = phi.mode
-    if k == 2:
-        x, y = np.triu_indices(6)
-        uk = np.where(x < y, np.sqrt(2.0), 1.0) * uk[x] * uk[y]
+    uk = product_state(phi, enumerate_basis(6, k)).amps
     ek = float(1.0 - np.real(np.vdot(uk, g.mat @ uk)))
     rk = float(np.sum(np.abs(np.linalg.eigvalsh(g.mat - np.outer(uk, uk.conj())))))
     for _ in range(2):
@@ -175,7 +183,7 @@ def test_pair_modes_are_made_once_and_read_only(rng, grid6, k):
     assert basis._cache[("lower", k)] is lowered
     assert set(basis._cache) == {"rank", "pattern", ("lower", 1), ("lower", 2)}
     with pytest.raises(ConfigError):
-        sector_modes(6, 3)
+        gamma(psi, 4)  # k > N
 
 
 @pytest.mark.parametrize("M, N", [(2, 2), (4, 3), (8, 4), (8, 6), (3, 9)])
@@ -203,10 +211,45 @@ def test_lowering_map_is_bit_identical_to_the_two_gathers(rng, M, N):
 
     assert gamma1(psi).mat.tobytes() == old_g1.astype(complex).tobytes()
     assert gamma2(psi).mat.tobytes() == old_g2.astype(complex).tobytes()
+    # phi^(x)k is now the product state on the k-particle basis: at k = 1
+    # the same bytes; at k = 2 it multiplies sqrt(2) * (u[x] u[y]), not
+    # (w u[x]) u[y], so the last bits may move (up to 2.2e-16 over 200
+    # random orbitals)
     u = random_orbital(rng, Grid(M, 1.0))
-    assert _condensate_vector(u, 1).tobytes() == u.mode.tobytes()
+    assert product_state(u, enumerate_basis(M, 1)).amps.tobytes() == u.mode.tobytes()
     old_u2 = weight * u.mode[x] * u.mode[y]
-    assert _condensate_vector(u, 2).tobytes() == old_u2.tobytes()
+    moved = np.max(np.abs(product_state(u, enumerate_basis(M, 2)).amps - old_u2))
+    assert moved <= 2 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("M, N", [(5, 4), (8, 6)])
+def test_E_k_is_a_function_of_the_sector_weights(rng, M, N):
+    # E^(k) = 1 - sum_j w_j C(N-j, k) / C(N, k) for every k <= N
+    grid = Grid(M, 1.0)
+    for _ in range(3):
+        psi, phi = random_state(rng, M, N), random_orbital(rng, grid)
+        w = occupation_weights(psi, phi).weights
+        for k in range(1, N + 1):
+            kept = sum(w[j] * math.comb(N - j, k) for j in range(N + 1)) / math.comb(N, k)
+            assert abs(E_k(gamma(psi, k), phi) - (1.0 - kept)) <= 1e-12
+
+
+def test_gamma3_matches_tensor_oracle(rng):
+    # the tensor-space partial trace over N - 3 particles, compressed to the
+    # three-particle occupation basis
+    psi = random_state(rng, 3, 4)
+    U = occupation_to_tensor_isometry(enumerate_basis(3, 3))
+    g3 = gamma(psi, 3)
+    assert g3.k == 3 and g3.mat.shape == (10, 10)
+    assert np.allclose(g3.mat, U.T @ tensor_gamma_k(psi, 3) @ U, atol=1e-12, rtol=0)
+    assert np.allclose(U @ g3.mat @ U.T, tensor_gamma_k(psi, 3), atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("k", [0, 5])
+def test_gamma_needs_k_between_1_and_N(rng, k):
+    psi = random_state(rng, 3, 4)
+    with pytest.raises(ConfigError):
+        gamma(psi, k)
 
 
 def test_indicator_dimension_check(rng, grid6):
