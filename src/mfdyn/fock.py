@@ -138,7 +138,7 @@ def _onebody_pattern(basis: OccupationBasis):
     Returns `indptr` and `indices` of all hops plus the diagonal in
     canonical order; per CSR entry the flat index i*M + j and the amplitude
     of its hop (0 and 0.0 on the diagonal); and the CSR position of every
-    diagonal entry. One COO->CSR pass over the entry numbers yields the
+    diagonal entry. One stable sort of the (row, column) keys yields the
     ordering.
     """
     if "pattern" not in basis._cache:
@@ -150,15 +150,15 @@ def _onebody_pattern(basis: OccupationBasis):
         n_hops = i.size * sub.dim
         row = np.concatenate([rows[i].ravel(), diag])
         col = np.concatenate([rows[j].ravel(), diag])
-        order = sp.coo_matrix(
-            (np.arange(n_hops + dim), (row, col)), shape=(dim, dim)
-        ).tocsr()
-        entry = order.data
-        for a in (order.indptr, order.indices):
+        entry = np.argsort(row * dim + col, kind="stable")  # i != j: no two keys are equal
+        indptr = np.zeros(dim + 1, dtype=np.int32)
+        np.cumsum(np.bincount(row, minlength=dim), out=indptr[1:])
+        indices = col[entry].astype(np.int32)
+        for a in (indptr, indices):
             a.flags.writeable = False  # shared by every operator built on them
         basis._cache["pattern"] = (
-            order.indptr,
-            order.indices,
+            indptr,
+            indices,
             np.concatenate([np.repeat(i * M + j, sub.dim), np.zeros(dim, dtype=np.intp)])[entry],
             np.concatenate([np.sqrt(up[i] * up[j]).ravel(), np.zeros(dim)])[entry],
             np.flatnonzero(entry >= n_hops),

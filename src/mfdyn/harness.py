@@ -276,10 +276,23 @@ class LatticeProblem(NamedTuple):
 
 
 def lattice_problem(cfg: RunConfig) -> LatticeProblem:
+    """The lattice problem of `cfg`. It is refused when the bound
+    ||H_N|| <= N ||h||_inf + (N - 1)/2 max|w| at the run's largest N
+    overflows when squared: the Lanczos norms of the propagator square
+    that scale, so it could not step such an H_N."""
     grid = Grid(cfg.sites, cfg.dx)
     v = potential_field(cfg, grid)
     w = interaction_field(cfg, grid)
     h = build_h(grid, v)
+    N = max(cfg.particles_list or (cfg.particles,))
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        bound = N * np.linalg.norm(h, np.inf) + (N - 1) / 2 * np.max(np.abs(w.values))
+        square = bound * bound
+    if not np.isfinite(square):
+        raise ConfigError(
+            f"N ||h||_inf + (N-1)/2 max|w| = {bound:.3g} at N = {N} squared overflows: "
+            "the propagator cannot represent this N-body scale"
+        )
     record_steps = [*range(0, cfg.steps, cfg.stride), cfg.steps]
     return LatticeProblem(grid, v, w, h, initial_orbital(cfg, grid, h), record_steps)
 

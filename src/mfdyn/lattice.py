@@ -121,6 +121,7 @@ def convolution_kernel_matrix(w: LatticeField) -> np.ndarray:
     return circulant(w).real.copy()
 
 
+@np.errstate(all="ignore")  # LatticeField refuses a nonfinite field, without a warning
 def sample_interaction(grid: Grid, kind: str, **params) -> LatticeField:
     """Sample an even, real interaction potential on the grid.
 
@@ -140,13 +141,13 @@ def sample_interaction(grid: Grid, kind: str, **params) -> LatticeField:
         vals = np.full(grid.sites, c)
     elif kind == "gaussian":
         lam = float(params.pop("lam"))
-        sigma = float(params.pop("sigma"))
+        sigma = np.float64(params.pop("sigma"))  # sigma**2 may overflow to inf
         if not sigma > 0:
             raise ConfigError(f"gaussian interaction needs sigma > 0, got {sigma}")
         vals = lam * np.exp(-(d**2) / (2.0 * sigma**2))
     elif kind == "softcoulomb":
         lam = float(params.pop("lam"))
-        eps = float(params.pop("eps"))
+        eps = np.float64(params.pop("eps"))
         if not eps > 0:
             raise ConfigError(f"soft-coulomb interaction needs eps > 0, got {eps}")
         vals = lam / np.sqrt(d**2 + eps**2)

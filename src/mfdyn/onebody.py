@@ -65,10 +65,11 @@ def build_h(grid: Grid, v: LatticeField | None = None) -> np.ndarray:
     return h
 
 
+@np.errstate(all="ignore")  # LatticeField refuses a nonfinite v, without a warning
 def harmonic_potential(grid: Grid, omega: float) -> LatticeField:
     """v(x) = omega^2 d(x, L/2)^2 / 4, centered on the ring."""
     d = grid.min_image(grid.coords - grid.length / 2.0)
-    return LatticeField(grid, omega**2 * d**2 / 4.0)
+    return LatticeField(grid, np.float64(omega) ** 2 * d**2 / 4.0)
 
 
 def ground_state(h: np.ndarray, grid: Grid) -> Orbital:
@@ -80,11 +81,12 @@ def ground_state(h: np.ndarray, grid: Grid) -> Orbital:
     return Orbital.normalized(grid, v)
 
 
+@np.errstate(all="ignore")  # Orbital refuses nonfinite values, without a warning
 def gaussian_orbital(grid: Grid, x0: float, sigma: float) -> Orbital:
     if not sigma > 0:
         raise ConfigError(f"gaussian orbital needs sigma > 0, got {sigma}")
     d = grid.min_image(grid.coords - x0)
-    return Orbital.normalized(grid, np.exp(-(d**2) / (4.0 * sigma**2)))
+    return Orbital.normalized(grid, np.exp(-(d**2) / (4.0 * np.float64(sigma) ** 2)))
 
 
 def condensate_projectors(phi: Orbital) -> tuple[np.ndarray, np.ndarray]:

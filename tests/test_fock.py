@@ -139,6 +139,33 @@ def test_csr_fill_is_bit_identical_to_sparse_sum(rng, M, N):
             assert dh.nnz < n_entries
 
 
+def coo_pattern(basis):
+    """`_onebody_pattern` as scipy's COO->CSR conversion orders it: the
+    entry numbers go in as data and come out as the permutation."""
+    M, dim = basis.sites, basis.dim
+    t = enumerate_basis(M, basis.particles - 1).states
+    i, j = np.nonzero(~np.eye(M, dtype=bool))
+    e = np.eye(M, dtype=np.int64)
+    n_hops = i.size * len(t)
+    row = np.concatenate([basis.rank(t[None] + e[i][:, None]).ravel(), np.arange(dim)])
+    col = np.concatenate([basis.rank(t[None] + e[j][:, None]).ravel(), np.arange(dim)])
+    order = sp.coo_matrix((np.arange(n_hops + dim), (row, col)), shape=(dim, dim)).tocsr()
+    entry = order.data
+    ij = np.concatenate([np.repeat(i * M + j, len(t)), np.zeros(dim, dtype=np.intp)])
+    amps = np.concatenate([np.sqrt((t.T[i] + 1) * (t.T[j] + 1)).ravel(), np.zeros(dim)])
+    return order.indptr, order.indices, ij[entry], amps[entry], np.flatnonzero(entry >= n_hops)
+
+
+@pytest.mark.parametrize("M,N", [(2, 5), (4, 3), (8, 4), (8, 6), (12, 6), (3, 40)])
+def test_onebody_pattern_equals_the_coo_to_csr_order(M, N):
+    basis = enumerate_basis(M, N)
+    got, want = _onebody_pattern(basis), coo_pattern(basis)
+    for name, a, b in zip(("indptr", "indices", "ij", "amps", "diag_pos"), got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    # shared by every operator built on them, as scipy's were by the CSR
+    assert not got[0].flags.writeable and not got[1].flags.writeable
+
+
 def masked_fill(A, basis, extra_diag=None):
     """The pattern fill that finds zeros with a mask over every CSR entry:
     the reference for the fill that finds them on A and the diagonal."""

@@ -26,6 +26,7 @@ from mfdyn.harness import (
     eta_curve,
     initial_orbital,
     interaction_field,
+    lattice_problem,
     make_config,
     parse_config_file,
     potential_field,
@@ -274,11 +275,12 @@ FORK_ARGV = {
 
 @pytest.mark.parametrize("command", sorted(FORK_ARGV))
 def test_cli_forks_without_a_deprecation_warning_at_default_threads(command):
-    # Python 3.12+ warns when a process with more than one OS thread forks,
-    # and at default threads the parent holds numpy's OpenBLAS worker. The
-    # warning comes from inside os.fork, which discards it as an error under
-    # -W error, so it is printed (-W always) and looked for on stderr. A
-    # single run forks its stepping child, a sweep its workers.
+    # Python 3.12+ warns when a process with more than one OS thread forks.
+    # At default threads the parent holds OpenBLAS's pool threads until the
+    # fork, whose handler joins them. The warning comes from inside os.fork,
+    # which discards it as an error under -W error, so it is printed
+    # (-W always) and looked for on stderr. A single run forks its stepping
+    # child, a sweep its workers.
     src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -758,6 +760,10 @@ def test_cli_sweep_caps_only_the_N_it_runs(tmp_path):
         ["eta-curve", "--p-grid", "3/2", "--out", "{tmp_path}/missing/eta.csv"],
         ["simulate", "--dx", "1e-200", "--tfinal", "0.01"],  # dx^2 underflows to 0
         ["simulate", "--dx", "1e-160", "--tfinal", "0.01"],  # 2/dx^2 overflows
+        ["simulate", "--potential", "harmonic:1e200"],  # omega^2 overflows
+        ["simulate", "--interaction", "gaussian:1,1e-300"],  # sigma^2 underflows to 0
+        ["simulate", "--interaction", "softcoulomb:1,1e-300"],
+        ["simulate", "--initial", "gaussian:0,1e-300"],
     ],
 )
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
@@ -774,6 +780,40 @@ def test_cli_malformed_input_exits_1(argv, tmp_path, capsys):
     assert rc == 1
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--dx", "1e-150"],  # hops of 1/dx^2 = 1e300
+        ["simulate", "--interaction", "constant:1e200"],
+        ["envelope", "--interaction", "invsquare:1e300"],  # w(0) = 1e300
+        ["simulate", "--potential", "harmonic:1e150"],  # v up to 4e300
+        ["sweep", "--particles-list", "2,3,9", "--interaction", "constant:1e154"],
+    ],
+)
+@pytest.mark.filterwarnings("error")
+def test_cli_refuses_an_N_body_scale_the_propagator_cannot_represent(
+    argv, monkeypatch, capfd
+):
+    def never(*args, **kwargs):
+        raise AssertionError("Psi was stepped")
+
+    monkeypatch.setattr("mfdyn.harness._snapshots", never)
+    monkeypatch.setattr("mfdyn.harness._in_child", never)
+    assert main(argv + ["--tfinal", "0.01"]) == 1
+    err = capfd.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "squared overflows" in err
+
+
+def test_propagator_scale_bound_reads_the_largest_N():
+    # 1e154 * (N-1)/2 squared is finite at N = 2 and overflows at N = 9
+    small = make_config(particles=2, interaction="constant:1e154", tfinal=0.01)
+    assert lattice_problem(small).w.values[0] == 1e154
+    with pytest.raises(ConfigError, match="at N = 9"):
+        lattice_problem(replace(small, particles_list=(2, 3, 9)))
+    lattice_problem(make_config(dx=1e-60, tfinal=0.01))  # refused later, by step control
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep", "envelope", "eta-curve"])

@@ -164,6 +164,14 @@ def test_sample_interaction_kinds(grid8):
     assert np.allclose(v[1:], v[:0:-1], atol=1e-14)
 
 
+@pytest.mark.filterwarnings("error")
+def test_sample_interaction_widths_whose_square_overflows(grid8):
+    # sigma^2 and eps^2 overflow to inf, not to an OverflowError: the flat limits
+    gsn = sample_interaction(grid8, "gaussian", lam=1.5, sigma=1e200)
+    assert np.array_equal(gsn.values, np.full(8, 1.5 + 0j))
+    assert not sample_interaction(grid8, "softcoulomb", lam=1.0, eps=1e200).values.any()
+
+
 def test_sample_interaction_errors(grid8):
     with pytest.raises(ConfigError):
         sample_interaction(grid8, "gaussian", lam=1.0, sigma=0.0)

@@ -70,6 +70,13 @@ def test_gaussian_orbital_peak_and_norm(grid8):
         gaussian_orbital(grid8, x0=0.0, sigma=0.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_gaussian_orbital_wider_than_the_float_range_is_flat(grid8):
+    # sigma^2 overflows to inf, not to an OverflowError
+    phi = gaussian_orbital(grid8, x0=0.0, sigma=1e200)
+    assert np.allclose(phi.values, 1 / np.sqrt(grid8.length), rtol=0, atol=1e-15)
+
+
 def test_condensate_projectors(rng, grid6):
     phi = random_orbital(rng, grid6)
     p, q = condensate_projectors(phi)
