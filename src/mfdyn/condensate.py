@@ -113,6 +113,14 @@ def alpha_of(wd: WeightDistribution) -> float:
     return float(weight_function_m(wd.n_particles) @ wd.weights)
 
 
+def pair_depletion_of(wd: WeightDistribution) -> float:
+    """1 - sum_k C(N-k,2)/C(N,2) w_k = E^(2), for N >= 2: the share of
+    particle pairs not both in phi."""
+    N = wd.n_particles
+    pairs = np.array([math.comb(N - k, 2) for k in range(N + 1)]) / math.comb(N, 2)
+    return float(1.0 - pairs @ wd.weights)
+
+
 def beta_of(wd: WeightDistribution) -> float:
     """sum_k sqrt(k/N) w_k; alpha <= beta <= sqrt(alpha)."""
     return float(weight_function_n(wd.n_particles) @ wd.weights)

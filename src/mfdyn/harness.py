@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blas import one_blas_thread
+from .blas import pin_one_thread
 from .bounds import (
     beta_bound_envelope,
     conjugate_q,
@@ -29,8 +29,8 @@ from .bounds import (
     phi_tilde_integrand,
     wnorm_upper_bound,
 )
-from .condensate import MAX_N, alpha_of, beta_of, occupation_weights
-from .errors import ConfigError
+from .condensate import MAX_N, alpha_of, beta_of, occupation_weights, pair_depletion_of
+from .errors import ConfigError, NumericalFailure
 from .fock import ManyBodyState, build_HN, enumerate_basis, product_state
 from .lattice import Grid, LatticeField, sample_interaction
 from .onebody import (
@@ -54,6 +54,10 @@ INTERACTIONS = {
     "random": ("seed",),
 }
 INITIALS = {"gaussian": ("x0", "sigma"), "groundstate": ()}
+
+# Largest residual of alpha = E^(1) and of the E^(2) weight identity that a
+# record may carry; perfbench's ALPHA_E1_TOL.
+IDENTITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -180,24 +184,36 @@ def _parse_spec(spec: str, kinds: dict, what: str):
     return name, dict(zip(names, values))
 
 
+@contextmanager
+def _named(what: str, spec: str):
+    """Prefix a ConfigError raised in the block with the setting and its spec."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{what} {spec!r}: {exc}") from None
+
+
 def potential_field(cfg: RunConfig, grid: Grid):
     name, params = _parse_spec(cfg.potential, POTENTIALS, "potential")
     if name == "none":
         return None
-    return harmonic_potential(grid, params["omega"])
+    with _named("potential", cfg.potential):
+        return harmonic_potential(grid, params["omega"])
 
 
 def interaction_field(cfg: RunConfig, grid: Grid) -> LatticeField:
     name, params = _parse_spec(cfg.interaction, INTERACTIONS, "interaction")
-    return sample_interaction(grid, name, **params)
+    with _named("interaction", cfg.interaction):
+        return sample_interaction(grid, name, **params)
 
 
 def initial_orbital(cfg: RunConfig, grid: Grid, h: np.ndarray) -> Orbital:
     spec = cfg.initial or f"gaussian:{grid.length / 2.0},1"
     name, params = _parse_spec(spec, INITIALS, "initial orbital")
-    if name == "groundstate":
-        return ground_state(h, grid)
-    return gaussian_orbital(grid, params["x0"], params["sigma"])
+    with _named("initial orbital", spec):
+        if name == "groundstate":
+            return ground_state(h, grid)
+        return gaussian_orbital(grid, params["x0"], params["sigma"])
 
 
 @dataclass(frozen=True)
@@ -340,7 +356,10 @@ def run_simulation(cfg: RunConfig, side: HartreeSide | None = None) -> RunResult
     `side` is `hartree_side(c)` of a config `c` that differs from `cfg` at
     most in its N values; it is computed here when not given. Psi steps
     through `_in_child` while this process solves the Hartree side, if it
-    was not given, and builds each record as its state arrives.
+    was not given, and builds each record as its state arrives. This
+    process keeps both OpenBLAS pools at one thread afterwards. A record
+    whose alpha = E1 or E2 weight identity is off by more than IDENTITY_TOL
+    raises NumericalFailure.
     """
     if cfg.particles_list:
         raise ConfigError("--particles-list belongs to `mfdyn sweep`; a run takes one N")
@@ -375,6 +394,7 @@ def _records(cfg: RunConfig, basis, H, side: HartreeSide, snapshots) -> list:
     for amps, k, phi_t, phi_env, ptil in zip(
         snapshots, side.problem.record_steps, side.orbitals, side.phi_ts, side.phi_tildes
     ):
+        t = k * cfg.dt
         state = ManyBodyState(basis, amps)
         g1 = gamma1(state)
         e1 = E_k(g1, phi_t)
@@ -388,6 +408,9 @@ def _records(cfg: RunConfig, basis, H, side: HartreeSide, snapshots) -> list:
         wd = occupation_weights(state, phi_t)
         alpha = alpha_of(wd)
         beta = beta_of(wd)
+        _check_identity("alpha = E1", alpha, e1, t)
+        if N >= 2:
+            _check_identity("E2 = 1 - sum_k w_k C(N-k,2)/C(N,2)", pair_depletion_of(wd), e2, t)
         e_psi, e_phi = energies(state, H, phi_t, h, w)
         if k == 0:
             alpha0, beta0, gap = alpha, beta, e_psi - e_phi
@@ -395,7 +418,7 @@ def _records(cfg: RunConfig, basis, H, side: HartreeSide, snapshots) -> list:
         b_bound = beta_bound_envelope(beta0, gap, N, eta, cfg.K, ptil)
         records.append(
             TimeRecord(
-                t=k * cfg.dt, N=N, M=cfg.sites,
+                t=t, N=N, M=cfg.sites,
                 alpha=alpha, beta=beta,
                 E1=e1, E2=e2, R1=r1, R2=r2,
                 EPsi=e_psi, Ephi=e_phi,
@@ -406,13 +429,24 @@ def _records(cfg: RunConfig, basis, H, side: HartreeSide, snapshots) -> list:
     return records
 
 
+def _check_identity(name: str, want: float, got: float, t: float) -> None:
+    """Raise NumericalFailure when the two sides of the identity `name`
+    differ by more than IDENTITY_TOL at time t."""
+    residual = abs(want - got)
+    if not residual <= IDENTITY_TOL:
+        raise NumericalFailure(
+            f"identity {name} broken at t = {t!r}: residual {residual:.3g} > {IDENTITY_TOL}"
+        )
+
+
 _forked = False  # True in a child of `_in_child`, which never forks again
 
 
 @contextmanager
 def _in_child(items):
     """Give the block an iterator over the unstarted generator `items`,
-    with both OpenBLAS pools pinned to one thread (`one_blas_thread`).
+    after pinning both OpenBLAS pools to one thread for the rest of this
+    process (`pin_one_thread`).
 
     If they could be pinned and two or more cores are usable, `items` runs
     in a child forked (not spawned: it inherits the pinned pools and the
@@ -427,31 +461,30 @@ def _in_child(items):
     if _forked:
         yield items
         return
-    with one_blas_thread() as pinned:
-        if not pinned or len(os.sched_getaffinity(0)) < 2:
-            yield items
-            return
-        read_fd, write_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-        if pid == 0:
-            _forked = True
-            os.close(read_fd)
-            _feed(items, write_fd)  # does not return
+    if not pin_one_thread() or len(os.sched_getaffinity(0)) < 2:
+        yield items
+        return
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
         os.close(write_fd)
-        pipe = open(read_fd, "rb")
-        try:
-            yield _received(pipe)
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            pipe.close()
-            os.waitpid(pid, 0)
+        raise
+    if pid == 0:
+        _forked = True
+        os.close(read_fd)
+        _feed(items, write_fd)  # does not return
+    os.close(write_fd)
+    pipe = open(read_fd, "rb")
+    try:
+        yield _received(pipe)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        pipe.close()
+        os.waitpid(pid, 0)
 
 
 def _feed(items, fd: int):
@@ -510,7 +543,8 @@ def sweep_N(cfg: RunConfig) -> SweepResult:
 
     The N values wait in a job pipe, largest first, for one `_sweep_worker`
     per usable core, each run through `_in_child`. A failure in a worker
-    is raised here, and the runs that have not started are dropped.
+    is raised here, and the runs that have not started are dropped. This
+    process keeps both OpenBLAS pools at one thread afterwards.
     """
     Ns = list(cfg.particles_list)
     if len(Ns) < 3:

@@ -211,7 +211,7 @@ def perfbench_blas_pool_sizes():
     return runpy.run_path(os.path.join(root, "perfbench", "child.py"))["blas_pool_sizes"]
 
 
-def test_sweep_workers_run_one_blas_thread_and_the_parent_keeps_its_pools(
+def test_sweep_workers_run_one_blas_thread_and_the_parent_keeps_one_after(
     tmp_path, monkeypatch
 ):
     pool_sizes = perfbench_blas_pool_sizes()
@@ -227,17 +227,12 @@ def test_sweep_workers_run_one_blas_thread_and_the_parent_keeps_its_pools(
         return run(cfg, side)
 
     monkeypatch.setattr(harness, "run_simulation", reporting_run)
-    old = [get() for _, get in pools]
-    for set_, _ in pools:
-        set_(2)  # a parent pool size that the sweep must leave as it was
-    try:
-        before = pool_sizes()
-        sweep_N(make_config(**FAST, particles_list=(2, 3, 4)))
-        after = pool_sizes()
-    finally:
-        for (set_, _), n in zip(pools, old):
-            set_(n)
-    assert before == after == {"numpy": 2, "scipy": 2}
+    for set_ in pools:
+        set_(2)  # a parent pool size that the sweep pins to one for good
+    before = pool_sizes()
+    sweep_N(make_config(**FAST, particles_list=(2, 3, 4)))
+    assert before == {"numpy": 2, "scipy": 2}
+    assert pool_sizes() == {"numpy": 1, "scipy": 1}
     reports = [json.loads((tmp_path / f"{N}.json").read_text()) for N in (2, 3, 4)]
     assert all(r["pid"] != os.getpid() for r in reports)
     assert [r["blas"] for r in reports] == [{"numpy": 1, "scipy": 1}] * 3
@@ -473,7 +468,7 @@ def test_run_failure_in_the_records_ends_the_stepping_child(monkeypatch):
     assert elapsed < 5.0  # the 10 steps after record 3 take 10 s
 
 
-def test_run_steps_in_a_child_with_one_blas_thread_and_the_parent_keeps_its_pools(
+def test_run_steps_in_a_child_with_one_blas_thread_and_the_parent_keeps_one_after(
     tmp_path, monkeypatch
 ):
     pool_sizes = perfbench_blas_pool_sizes()
@@ -491,21 +486,31 @@ def test_run_steps_in_a_child_with_one_blas_thread_and_the_parent_keeps_its_pool
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(harness, "NBodyStepper", ReportingStepper)
-    old = [get() for _, get in pools]
-    for set_, _ in pools:
-        set_(2)  # a parent pool size that the run must leave as it was
-    try:
-        before = pool_sizes()
-        run_simulation(make_config(**FAST))
-        after = pool_sizes()
-    finally:
-        for (set_, _), n in zip(pools, old):
-            set_(n)
-    assert before == after == {"numpy": 2, "scipy": 2}
+    for set_ in pools:
+        set_(2)  # a parent pool size that the run pins to one for good
+    before = pool_sizes()
+    run_simulation(make_config(**FAST))
+    assert before == {"numpy": 2, "scipy": 2}
+    assert pool_sizes() == {"numpy": 1, "scipy": 1}
     stepper = json.loads(report.read_text())
     assert stepper["pid"] != os.getpid()
     assert stepper["blas"] == {"numpy": 1, "scipy": 1}
     assert no_child_left()
+
+
+def test_no_openblas_worker_restarts_after_a_run():
+    # A pool of two threads holds one worker thread. The fork handler joins
+    # the workers, and a pool left at one thread starts none again.
+    if not runs_would_fork():
+        pytest.skip("the run steps in this process")
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count this process's threads in")
+    perfbench_blas_pool_sizes()()  # loads scipy's OpenBLAS too
+    for set_ in blas.openblas_pools():
+        set_(2)
+    before = len(os.listdir("/proc/self/task"))
+    run_simulation(make_config(**FAST))
+    assert len(os.listdir("/proc/self/task")) < before
 
 
 @pytest.mark.parametrize("reason", ["no-blas-entry-points", "one-core"])
@@ -768,6 +773,9 @@ def test_cli_sweep_caps_only_the_N_it_runs(tmp_path):
 )
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_cli_malformed_input_exits_1(argv, tmp_path, capsys):
+    # Specs that parse but give an unusable field or orbital: the error names them.
+    named_specs = ("harmonic:1e200", "gaussian:1,1e-300", "softcoulomb:1,1e-300",
+                   "gaussian:0,1e-300")
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("sites = abc\n")
     method_cfg = tmp_path / "method.cfg"
@@ -780,6 +788,42 @@ def test_cli_malformed_input_exits_1(argv, tmp_path, capsys):
     assert rc == 1
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+    if argv[-1] in named_specs:
+        assert f"'{argv[-1]}'" in err
+
+
+# (identity, the harness name whose result is faulted, the fault)
+PLANTED_FAULTS = {
+    "alpha": (  # weight 1e-6 moved from w_0 to w_1
+        "alpha = E1",
+        "occupation_weights",
+        lambda wd: condensate.WeightDistribution(wd.weights + [-1e-6, 1e-6, 0.0, 0.0]),
+    ),
+    "E2": ("E2 = 1 - sum_k w_k C(N-k,2)/C(N,2)", "pair_depletion_of", lambda e2: e2 + 1e-6),
+}
+
+
+@pytest.mark.parametrize("fault_in", sorted(PLANTED_FAULTS))
+def test_a_broken_identity_fails_the_run_at_its_record(monkeypatch, capsys, fault_in):
+    identity, planted, fault = PLANTED_FAULTS[fault_in]
+    real = getattr(harness, planted)
+    calls = []
+
+    def faulty(*args):
+        calls.append(real(*args))
+        return fault(calls[-1]) if len(calls) == 2 else calls[-1]  # record 1 only
+
+    monkeypatch.setattr(harness, planted, faulty)
+    with pytest.raises(NumericalFailure) as info:
+        run_simulation(make_config(**FAST))
+    t1 = FAST["stride"] * FAST["dt"]
+    assert str(info.value).startswith(f"identity {identity} broken at t = {t1!r}: residual ")
+    assert no_child_left()
+    calls.clear()
+    argv = [f"--{key}={value}" for key, value in FAST.items()]
+    assert main(["simulate", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err == f"numerical failure: {info.value}\n"
 
 
 @pytest.mark.parametrize(
