@@ -18,6 +18,7 @@ from .harness import (
     INTERACTIONS,
     POTENTIALS,
     RunConfig,
+    comma_fields,
     eta_curve,
     make_config,
     parse_config_file,
@@ -133,7 +134,7 @@ def cmd_eta_curve(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"dim: {exc}") from None
     try:
-        ps = [Fraction(s) for s in args.p_grid.split(",") if s]
+        ps = [Fraction(s) for s in comma_fields(args.p_grid, "p-grid")]
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"p-grid: {exc}") from None
     _check_out(args.out or "")

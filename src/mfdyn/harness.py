@@ -89,10 +89,10 @@ class RunConfig:
         steps = round(ratio) if ratio < math.inf else 0
         if steps < 1 or abs(steps * self.dt - self.tfinal) > 1e-9 * max(1.0, self.tfinal):
             raise ConfigError("tfinal must be a positive integer multiple of dt")
-        if self.particles_list and list(self.particles_list) != sorted(
-            set(self.particles_list)
-        ):
+        if list(self.particles_list) != sorted(set(self.particles_list)):
             raise ConfigError("particles-list must be strictly increasing")
+        if min(self.particles_list, default=1) < 1:
+            raise ConfigError("particles_list: particles must be positive")
         largest = max(self.particles_list or (self.particles,))
         if largest > MAX_N:
             raise ConfigError(f"N = {largest} is above the sector-weight cap N <= {MAX_N}")
@@ -158,10 +158,18 @@ def parse_setting(key: str, text: str):
     default = _DEFAULTS[key]
     try:
         if isinstance(default, tuple):
-            return tuple(int(s) for s in text.split(",") if s)
+            return tuple(int(s) for s in comma_fields(text, key))
         return type(default)(text)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from None
+
+
+def comma_fields(text: str, what: str) -> list:
+    """The comma-separated fields of the setting `what`; refuses an empty one."""
+    parts = text.split(",") if text else []
+    if not all(s.strip() for s in parts):
+        raise ConfigError(f"{what}: empty field in {text!r}")
+    return parts
 
 
 def _parse_spec(spec: str, kinds: dict, what: str):
@@ -170,7 +178,7 @@ def _parse_spec(spec: str, kinds: dict, what: str):
     if name not in kinds:
         raise ConfigError(f"unknown {what} {name!r}; choose from {sorted(kinds)}")
     names = kinds[name]
-    parts = [s for s in rest.split(",") if s] if rest else []
+    parts = comma_fields(rest, f"{what} {name!r}")
     if len(parts) != len(names):
         raise ConfigError(
             f"{what} {name!r} takes {len(names)} parameter(s) {names}, got {parts}"
@@ -357,7 +365,7 @@ def run_simulation(cfg: RunConfig, side: HartreeSide | None = None) -> RunResult
     most in its N values; it is computed here when not given. Psi steps
     through `_in_child` while this process solves the Hartree side, if it
     was not given, and builds each record as its state arrives. This
-    process keeps both OpenBLAS pools at one thread afterwards. A record
+    process keeps numpy's OpenBLAS pool at one thread afterwards. A record
     whose alpha = E1 or E2 weight identity is off by more than IDENTITY_TOL
     raises NumericalFailure.
     """
@@ -445,11 +453,11 @@ _forked = False  # True in a child of `_in_child`, which never forks again
 @contextmanager
 def _in_child(items):
     """Give the block an iterator over the unstarted generator `items`,
-    after pinning both OpenBLAS pools to one thread for the rest of this
+    after pinning numpy's OpenBLAS pool to one thread for the rest of this
     process (`pin_one_thread`).
 
-    If they could be pinned and two or more cores are usable, `items` runs
-    in a child forked (not spawned: it inherits the pinned pools and the
+    If it could be pinned and two or more cores are usable, `items` runs
+    in a child forked (not spawned: it inherits the pinned pool and the
     imported modules) while this process goes on, and the items arrive
     through a pipe, equal bit for bit to those of a one-process, one-thread
     run; elsewhere, and in a process forked here, which never forks again,
@@ -458,10 +466,7 @@ def _in_child(items):
     the end mark raises RuntimeError. The child is reaped on leaving the
     block, and killed first if the block fails."""
     global _forked
-    if _forked:
-        yield items
-        return
-    if not pin_one_thread() or len(os.sched_getaffinity(0)) < 2:
+    if _forked or not pin_one_thread() or len(os.sched_getaffinity(0)) < 2:
         yield items
         return
     read_fd, write_fd = os.pipe()
@@ -544,7 +549,7 @@ def sweep_N(cfg: RunConfig) -> SweepResult:
     The N values wait in a job pipe, largest first, for one `_sweep_worker`
     per usable core, each run through `_in_child`. A failure in a worker
     is raised here, and the runs that have not started are dropped. This
-    process keeps both OpenBLAS pools at one thread afterwards.
+    process and every worker keep numpy's OpenBLAS pool at one thread.
     """
     Ns = list(cfg.particles_list)
     if len(Ns) < 3:

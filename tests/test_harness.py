@@ -1,3 +1,5 @@
+import ctypes
+import glob
 import json
 import math
 import os
@@ -182,6 +184,30 @@ def test_sweep_merging_and_order():
     assert res.degenerate or (res.e_slope is not None and res.r_slope is not None)
 
 
+def test_one_particle_run_has_no_pair_indicators():
+    res = run_simulation(make_config(**{**FAST, "particles": 1}))
+    assert len(res.records) == 3
+    for r in res.records:
+        assert r.N == 1
+        assert r.E2 == 0.0 and r.R2 == 0.0
+        assert abs(r.alpha - r.E1) <= 1e-8
+        assert r.slack_alpha >= 0
+
+
+def test_sweep_with_a_constant_interaction_is_degenerate(capsys):
+    # w = const keeps the product state exact: every final E1 is below 1e-12
+    argv = ["--interaction", "constant:1", "--particles-list", "2,3,4"]
+    res = sweep_N(make_config(**FAST, interaction="constant:1", particles_list=(2, 3, 4)))
+    assert res.degenerate
+    assert res.e_slope is None and res.r_slope is None
+    assert max(run.records[-1].E1 for run in res.runs.values()) < 1e-12
+    fast = [f"--{k}={v}" for k, v in FAST.items()]
+    assert main(["sweep", *fast, *argv]) == 0
+    captured = capsys.readouterr()
+    assert "# fit: degenerate (all E1 below 1e-12)" in captured.err.splitlines()
+    assert captured.out == records_csv(res.records)
+
+
 def test_sweep_solves_hartree_once_and_matches_single_runs(monkeypatch):
     cfg = make_config(**FAST, particles_list=(2, 3, 4))
     calls = []
@@ -211,13 +237,25 @@ def perfbench_blas_pool_sizes():
     return runpy.run_path(os.path.join(root, "perfbench", "child.py"))["blas_pool_sizes"]
 
 
+def size_scipy_blas_pool(n: int) -> None:
+    """Size scipy's bundled OpenBLAS pool, if loaded, to n threads: a size
+    other than one shows whether a run leaves that pool alone."""
+    import scipy
+
+    libdir = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
+    for path in glob.glob(os.path.join(libdir, "libscipy_openblas-*.so*")):
+        set_fn = ctypes.CDLL(path, mode=os.RTLD_NOLOAD).scipy_openblas_set_num_threads
+        set_fn.argtypes, set_fn.restype = [ctypes.c_int], None
+        set_fn(n)
+
+
 def test_sweep_workers_run_one_blas_thread_and_the_parent_keeps_one_after(
     tmp_path, monkeypatch
 ):
     pool_sizes = perfbench_blas_pool_sizes()
     pool_sizes()  # loads scipy's OpenBLAS too, as the benchmark does
-    pools = blas.openblas_pools()
-    if pools is None:
+    set_numpy = blas.openblas_pool()
+    if set_numpy is None:
         pytest.skip("numpy's bundled OpenBLAS is not loaded")
     run = harness.run_simulation
 
@@ -227,15 +265,16 @@ def test_sweep_workers_run_one_blas_thread_and_the_parent_keeps_one_after(
         return run(cfg, side)
 
     monkeypatch.setattr(harness, "run_simulation", reporting_run)
-    for set_ in pools:
-        set_(2)  # a parent pool size that the sweep pins to one for good
+    set_numpy(2)  # a parent pool size that the sweep pins to one for good
+    size_scipy_blas_pool(2)
     before = pool_sizes()
     sweep_N(make_config(**FAST, particles_list=(2, 3, 4)))
-    assert before == {"numpy": 2, "scipy": 2}
-    assert pool_sizes() == {"numpy": 1, "scipy": 1}
+    assert before["numpy"] == 2
+    pinned = {"numpy": 1, "scipy": before["scipy"]}  # scipy's is left as it was
+    assert pool_sizes() == pinned
     reports = [json.loads((tmp_path / f"{N}.json").read_text()) for N in (2, 3, 4)]
     assert all(r["pid"] != os.getpid() for r in reports)
-    assert [r["blas"] for r in reports] == [{"numpy": 1, "scipy": 1}] * 3
+    assert [r["blas"] for r in reports] == [pinned] * 3
 
 
 @pytest.mark.parametrize("reason", ["no-blas-entry-points", "one-core"])
@@ -254,8 +293,8 @@ def test_sweep_without_pinned_pools_or_a_second_core_runs_in_one_process(
     if reason == "one-core":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     else:
-        monkeypatch.setattr(blas, "OPENBLAS_LIBS", [])
-        assert blas.openblas_pools() is None
+        monkeypatch.setattr(blas, "OPENBLAS_LIB", ("no-such-library-*.so*", blas.OPENBLAS_LIB[1]))
+        assert blas.openblas_pool() is None
     res = sweep_N(cfg)
     pids = {(tmp_path / f"{N}.pid").read_text() for N in cfg.particles_list}
     assert pids == {str(os.getpid())}
@@ -264,22 +303,28 @@ def test_sweep_without_pinned_pools_or_a_second_core_runs_in_one_process(
 
 FORK_ARGV = {
     "simulate": ["--sites", "6", "--particles", "3", "--tfinal", "0.01", "--stride", "5"],
+    "envelope": ["--sites", "6", "--particles", "3", "--tfinal", "0.01", "--stride", "5",
+                 "--out", "{out}"],
     "sweep": ["--sites", "6", "--particles-list", "2,3,4", "--tfinal", "0.01", "--stride", "5"],
 }
 
 
 @pytest.mark.parametrize("command", sorted(FORK_ARGV))
-def test_cli_forks_without_a_deprecation_warning_at_default_threads(command):
+def test_cli_forks_without_a_deprecation_warning_at_default_threads(command, tmp_path):
     # Python 3.12+ warns when a process with more than one OS thread forks.
     # At default threads the parent holds OpenBLAS's pool threads until the
     # fork, whose handler joins them. The warning comes from inside os.fork,
     # which discards it as an error under -W error, so it is printed
     # (-W always) and looked for on stderr. A single run forks its stepping
-    # child, a sweep its workers.
+    # child, a sweep its workers. The fresh interpreter also runs the set-up
+    # (and a sweep's Hartree side) at default threads, which this process,
+    # pinned by its first run, no longer does: the output must equal the
+    # pinned in-process run byte for byte.
     src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    argv = FORK_ARGV[command]
+    out = tmp_path / "run.csv"
+    argv = [a.format(out=out) for a in FORK_ARGV[command]]
     proc = subprocess.run(
         [sys.executable, "-W", "always::DeprecationWarning", "-m", "mfdyn", command, *argv],
         capture_output=True, text=True, env=env,
@@ -288,7 +333,8 @@ def test_cli_forks_without_a_deprecation_warning_at_default_threads(command):
     assert "DeprecationWarning" not in proc.stderr
     cfg = config_from_args(build_parser().parse_args([command, *argv]))
     run = sweep_N if command == "sweep" else run_simulation
-    assert proc.stdout == records_csv(run(cfg).records)
+    csv = out.read_text() if command == "envelope" else proc.stdout
+    assert csv == records_csv(run(cfg).records)
 
 
 def no_child_left() -> bool:
@@ -300,7 +346,7 @@ def no_child_left() -> bool:
 
 
 def runs_would_fork() -> bool:
-    return blas.openblas_pools() is not None and len(os.sched_getaffinity(0)) > 1
+    return blas.openblas_pool() is not None and len(os.sched_getaffinity(0)) > 1
 
 
 def test_sweep_workers_outnumbering_the_cores_run_each_N_once(tmp_path, monkeypatch):
@@ -473,8 +519,8 @@ def test_run_steps_in_a_child_with_one_blas_thread_and_the_parent_keeps_one_afte
 ):
     pool_sizes = perfbench_blas_pool_sizes()
     pool_sizes()  # loads scipy's OpenBLAS too, as the benchmark does
-    pools = blas.openblas_pools()
-    if pools is None:
+    set_numpy = blas.openblas_pool()
+    if set_numpy is None:
         pytest.skip("numpy's bundled OpenBLAS is not loaded")
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("one usable core: the run steps in its own process")
@@ -486,15 +532,16 @@ def test_run_steps_in_a_child_with_one_blas_thread_and_the_parent_keeps_one_afte
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(harness, "NBodyStepper", ReportingStepper)
-    for set_ in pools:
-        set_(2)  # a parent pool size that the run pins to one for good
+    set_numpy(2)  # a parent pool size that the run pins to one for good
+    size_scipy_blas_pool(2)
     before = pool_sizes()
     run_simulation(make_config(**FAST))
-    assert before == {"numpy": 2, "scipy": 2}
-    assert pool_sizes() == {"numpy": 1, "scipy": 1}
+    assert before["numpy"] == 2
+    pinned = {"numpy": 1, "scipy": before["scipy"]}  # scipy's is left as it was
+    assert pool_sizes() == pinned
     stepper = json.loads(report.read_text())
     assert stepper["pid"] != os.getpid()
-    assert stepper["blas"] == {"numpy": 1, "scipy": 1}
+    assert stepper["blas"] == pinned
     assert no_child_left()
 
 
@@ -506,8 +553,7 @@ def test_no_openblas_worker_restarts_after_a_run():
     if not os.path.isdir("/proc/self/task"):
         pytest.skip("no /proc/self/task to count this process's threads in")
     perfbench_blas_pool_sizes()()  # loads scipy's OpenBLAS too
-    for set_ in blas.openblas_pools():
-        set_(2)
+    blas.openblas_pool()(2)
     before = len(os.listdir("/proc/self/task"))
     run_simulation(make_config(**FAST))
     assert len(os.listdir("/proc/self/task")) < before
@@ -530,8 +576,8 @@ def test_run_without_pinned_pools_or_a_second_core_steps_in_one_process(
     if reason == "one-core":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     else:
-        monkeypatch.setattr(blas, "OPENBLAS_LIBS", [])
-        assert blas.openblas_pools() is None
+        monkeypatch.setattr(blas, "OPENBLAS_LIB", ("no-such-library-*.so*", blas.OPENBLAS_LIB[1]))
+        assert blas.openblas_pool() is None
     assert records_csv(run_simulation(cfg).records) == two_processes
     assert pids == [os.getpid()]
 
@@ -769,6 +815,14 @@ def test_cli_sweep_caps_only_the_N_it_runs(tmp_path):
         ["simulate", "--interaction", "gaussian:1,1e-300"],  # sigma^2 underflows to 0
         ["simulate", "--interaction", "softcoulomb:1,1e-300"],
         ["simulate", "--initial", "gaussian:0,1e-300"],
+        ["simulate", "--interaction", "gaussian:1,,1"],
+        ["simulate", "--interaction", "gaussian:1,1,"],
+        ["simulate", "--initial", "groundstate:,"],
+        ["sweep", "--particles-list", "2,,3,4"],
+        ["sweep", "--particles-list", ",2,3,4"],
+        ["sweep", "--particles-list", "0,2,3"],
+        ["eta-curve", "--p-grid", "3/2,,2"],
+        ["eta-curve", "--p-grid", ","],
     ],
 )
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
@@ -782,6 +836,17 @@ def test_cli_malformed_input_exits_1(argv, tmp_path, capsys):
     method_cfg.write_text("method = dense\n")
     binary_cfg = tmp_path / "binary.cfg"
     binary_cfg.write_bytes(b"\xff\xfe sites = 6\n")
+    # Lists with an empty or a non-positive field: the error names the setting.
+    named_settings = {
+        "gaussian:1,,1": "interaction 'gaussian': empty field",
+        "gaussian:1,1,": "interaction 'gaussian': empty field",
+        "groundstate:,": "initial orbital 'groundstate': empty field",
+        "2,,3,4": "particles_list: empty field",
+        ",2,3,4": "particles_list: empty field",
+        "0,2,3": "particles_list: particles must be positive",
+        "3/2,,2": "p-grid: empty field",
+        ",": "p-grid: empty field",
+    }
     names = dict(bad_cfg=bad_cfg, method_cfg=method_cfg, binary_cfg=binary_cfg, tmp_path=tmp_path)
     rc = main([a.format(**names) for a in argv])
     err = capsys.readouterr().err
@@ -790,6 +855,8 @@ def test_cli_malformed_input_exits_1(argv, tmp_path, capsys):
     assert "Traceback" not in err
     if argv[-1] in named_specs:
         assert f"'{argv[-1]}'" in err
+    if argv[-1] in named_settings:
+        assert err.startswith("error: " + named_settings[argv[-1]])
 
 
 # (identity, the harness name whose result is faulted, the fault)
@@ -953,7 +1020,9 @@ MOVED_TO_CHECKS = {
 
 def test_run_path_leaves_out_the_reference():
     # a fresh interpreter: this process has long imported mfdyn.checks;
-    # the CLI loads it only for `mfdyn check`
+    # the CLI loads it only for `mfdyn check`. Every command, `check all`
+    # included, then leaves scipy.linalg and so scipy's OpenBLAS unloaded:
+    # numpy's is the only pool a run computes in, and the only one pinned.
     from mfdyn import checks
 
     for names in MOVED_TO_CHECKS.values():
@@ -967,6 +1036,17 @@ def test_run_path_leaves_out_the_reference():
         f"for mod, names in {MOVED_TO_CHECKS!r}.items():\n"
         "    left = [n for n in names if hasattr(sys.modules['mfdyn.' + mod], n)]\n"
         "    assert not left, f'mfdyn.{mod} still defines {left}'\n"
+        "run = ['--sites', '4', '--particles', '2', '--tfinal', '0.01', '--stride', '5']\n"
+        "sweep = ['--sites', '4', '--particles-list', '2,3,4', '--tfinal', '0.01']\n"
+        "for argv in (['simulate', *run], ['envelope', *run], ['sweep', *sweep],\n"
+        "             ['check', 'all']):\n"
+        "    assert mfdyn.cli.main(argv) == 0, argv\n"
+        "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg imported'\n"
+        "try:\n"
+        "    maps = open('/proc/self/maps').read()\n"
+        "except OSError:\n"
+        "    maps = ''\n"
+        "assert 'libscipy_openblas-' not in maps, \"scipy's OpenBLAS loaded\"\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env
