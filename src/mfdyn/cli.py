@@ -45,6 +45,11 @@ _HELP = {
 }
 
 
+# every flag of every subcommand takes exactly one value
+VALUE_FLAGS = ("--config", *("--" + f.name.replace("_", "-") for f in fields(RunConfig)),
+               "--dim", "--p-grid")
+
+
 def add_run_command(sub, name: str, fn, summary: str) -> None:
     """Subcommand `name`, run by `fn`: `--config` plus a flag per `RunConfig` field."""
     sp = sub.add_parser(name, help=summary)
@@ -53,6 +58,19 @@ def add_run_command(sub, name: str, fn, summary: str) -> None:
         sp.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
                         help=_HELP.get(f.name))
     sp.set_defaults(fn=fn)
+
+
+def join_flag_values(argv: list[str]) -> list[str]:
+    """`--flag value` -> `--flag=value` for each of `VALUE_FLAGS`: the next
+    token is the value, even when it starts with `-` (`--dt -1e-3`,
+    `--p -3/2`), which argparse would read as another flag."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in VALUE_FLAGS:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def config_from_args(args) -> RunConfig:
@@ -187,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = build_parser().parse_args(join_flag_values(argv))
         return args.fn(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

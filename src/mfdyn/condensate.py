@@ -4,10 +4,10 @@ excitation-number operator dGamma(q).
 
 dGamma(q) with q a projector has spectrum in {0, ..., N}, so the weights
 solve an (N+1)-node Vandermonde system with known integer nodes (N products
-with dGamma(q)). An independent Lagrange filter-polynomial route cross-checks
-every call: since dGamma(q) is Hermitian, each filter polynomial splits into
-the factors below and above k, and one prefix chain and one suffix chain of
-N products each give every w_k as an inner product.
+with dGamma(q)). An independent factorial-moment route cross-checks every
+call: one chain of N products gives nu_m = <Psi, dGamma(q) (dGamma(q) - 1)
+... (dGamma(q) - m + 1) Psi> = sum_k w_k k!/(k - m)!, a triangular system
+that inverts exactly.
 """
 from __future__ import annotations
 
@@ -58,39 +58,38 @@ def weight_function_n(N: int) -> np.ndarray:
 def moment_weights(A, amps: np.ndarray, N: int) -> np.ndarray:
     """Weights from the moments mu_j = <Psi, A^j Psi>, j = 0..N: the
     (N+1)-node Vandermonde system with nodes 0..N (N products with A)."""
-    vecs = [amps]
+    v, mu = amps, [np.real(np.vdot(amps, amps))]
     for _ in range(N):
-        vecs.append(A @ vecs[-1])
-    mu = np.array([np.real(np.vdot(amps, v)) for v in vecs])
+        v = A @ v
+        mu.append(np.real(np.vdot(amps, v)))
     nodes = np.arange(N + 1, dtype=float)
     V = nodes[None, :] ** np.arange(N + 1)[:, None]
     V[0] = 1.0  # 0^0 = 1
-    return np.linalg.solve(V, mu)
+    return np.linalg.solve(V, np.array(mu))
 
 
-def lagrange_weights(A, amps: np.ndarray, N: int) -> np.ndarray:
-    """Weights from the Lagrange filter polynomials, split through the
-    Hermiticity of A:
+def factorial_moment_weights(A, amps: np.ndarray, N: int) -> np.ndarray:
+    """Weights from the factorial moments
+    nu_m = <Psi, A (A - 1) ... (A - m + 1) Psi> = sum_k w_k k!/(k - m)!,
+    inverted exactly:
 
-        w_k = <prod_{l<k} (A - l) Psi, prod_{l>k} (A - l) Psi> / prod_{l != k} (k - l).
+        w_k = sum_{m >= k} (-1)^(m - k) nu_m / (k! (m - k)!).
 
-    One prefix chain and one suffix chain of N products with A each."""
-    prefix = [amps]  # prefix[k] = prod_{l<k} (A - l) Psi
-    for l in range(N):
-        prefix.append(A @ prefix[-1] - l * prefix[-1])
-    w = np.empty(N + 1)
-    suffix = amps  # prod_{l>k} (A - l) Psi, from k = N down
-    for k in range(N, -1, -1):
-        denom = (-1) ** (N - k) * math.factorial(k) * math.factorial(N - k)
-        w[k] = np.real(np.vdot(prefix[k], suffix)) / denom
-        if k > 0:
-            suffix = A @ suffix - k * suffix
-    return w
+    One chain of N products with A."""
+    v, nu = amps, [np.real(np.vdot(amps, amps))]
+    for m in range(N):
+        v = A @ v - m * v
+        nu.append(np.real(np.vdot(amps, v)))
+    return np.array([
+        sum((-1) ** (m - k) * nu[m] / (math.factorial(k) * math.factorial(m - k))
+            for m in range(k, N + 1))
+        for k in range(N + 1)
+    ])
 
 
 def occupation_weights(psi: ManyBodyState, phi: Orbital) -> WeightDistribution:
     """Weights from moments of dGamma(q), q = 1 - |phi><phi|, cross-checked
-    by the split Lagrange route; 3N products with dGamma(q) in all."""
+    by the factorial-moment route; 2N products with dGamma(q) in all."""
     N = psi.basis.particles
     if N > MAX_N:
         raise ConfigError(
@@ -99,11 +98,11 @@ def occupation_weights(psi: ManyBodyState, phi: Orbital) -> WeightDistribution:
     _, q = condensate_projectors(phi)
     A = second_quantize_onebody(q, psi.basis)
     w_mom = moment_weights(A, psi.amps, N)
-    w_lag = lagrange_weights(A, psi.amps, N)
-    if np.max(np.abs(w_mom - w_lag)) > CROSS_CHECK_TOL:
+    w_fac = factorial_moment_weights(A, psi.amps, N)
+    if np.max(np.abs(w_mom - w_fac)) > CROSS_CHECK_TOL:
         raise NumericalFailure(
-            "moment and Lagrange weight paths disagree by "
-            f"{np.max(np.abs(w_mom - w_lag))}; N may be too large for this method"
+            "moment and factorial-moment weight paths disagree by "
+            f"{np.max(np.abs(w_mom - w_fac))}; N may be too large for this method"
         )
     return WeightDistribution(w_mom)
 

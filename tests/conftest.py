@@ -20,6 +20,17 @@ def grid8():
     return Grid(8, 0.5)
 
 
+class CountingOperator:
+    """H with a count of the products H @ v taken through it."""
+
+    def __init__(self, H):
+        self.H, self.shape, self.products = H, H.shape, 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.H @ v
+
+
 def random_orbital(rng, grid):
     vals = rng.normal(size=grid.sites) + 1j * rng.normal(size=grid.sites)
     return Orbital.normalized(grid, vals)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +8,12 @@ from hypothesis import strategies as st
 import mfdyn.condensate as condensate
 from mfdyn.checks import occupation_to_tensor_isometry, tensor_hat_f, tensor_sector_projectors
 from mfdyn.condensate import (
+    CROSS_CHECK_TOL,
     MAX_N,
     WeightDistribution,
     alpha_of,
     beta_of,
-    lagrange_weights,
+    factorial_moment_weights,
     moment_weights,
     occupation_weights,
     weight_function_m,
@@ -24,10 +27,10 @@ from mfdyn.fock import (
     second_quantize_onebody,
 )
 from mfdyn.lattice import Grid
-from mfdyn.onebody import condensate_projectors
+from mfdyn.onebody import Orbital, condensate_projectors
 from mfdyn.reduce import E_k, gamma1
 
-from conftest import random_orbital
+from conftest import CountingOperator, random_orbital
 
 
 def random_state(rng, M, N):
@@ -115,13 +118,31 @@ def _lagrange_weights_per_k(A, amps, N):
 
 
 @pytest.mark.parametrize("M,N", [(2, 12), (3, 12), (8, 6)])
-def test_split_lagrange_matches_per_k_product_form(rng, M, N):
+def test_factorial_moments_match_per_k_product_form(rng, M, N):
     phi = random_orbital(rng, Grid(M, 1.0))
     psi = random_state(rng, M, N)
     A = second_quantize_onebody(condensate_projectors(phi)[1], psi.basis)
-    got = lagrange_weights(A, psi.amps, N)
+    got = factorial_moment_weights(A, psi.amps, N)
     want = _lagrange_weights_per_k(A, psi.amps, N)
     assert np.max(np.abs(got - want)) <= 1e-10
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.8, 1.2, np.pi / 2])
+def test_weights_match_binomial_oracle(rng, theta):
+    # chi = cos(theta) phi + sin(theta) eta with eta orthogonal to phi: each
+    # particle of chi^(x)N is outside phi with probability s = sin^2(theta)
+    M, N = 4, 9
+    grid = Grid(M, 1.0)
+    phi = random_orbital(rng, grid)
+    eta = random_orbital(rng, grid).values
+    eta = Orbital.normalized(grid, eta - grid.spacing * np.vdot(phi.values, eta) * phi.values)
+    chi = Orbital.normalized(grid, np.cos(theta) * phi.values + np.sin(theta) * eta.values)
+    psi = product_state(chi, enumerate_basis(M, N))
+    s = np.sin(theta) ** 2
+    want = np.array([math.comb(N, k) * s**k * (1 - s) ** (N - k) for k in range(N + 1)])
+    A = second_quantize_onebody(condensate_projectors(phi)[1], psi.basis)
+    assert np.max(np.abs(factorial_moment_weights(A, psi.amps, N) - want)) <= 1e-12
+    assert np.max(np.abs(occupation_weights(psi, phi).weights - want)) <= CROSS_CHECK_TOL
 
 
 def test_cross_check_fires_on_perturbed_moment_solve(rng, monkeypatch):
@@ -139,6 +160,36 @@ def test_cross_check_fires_on_perturbed_moment_solve(rng, monkeypatch):
         occupation_weights(psi, phi)
 
 
+def test_cross_check_fires_on_perturbed_factorial_moments(rng, monkeypatch):
+    phi = random_orbital(rng, Grid(4, 1.0))
+    psi = random_state(rng, 4, 3)
+    occupation_weights(psi, phi)  # the unperturbed routes agree
+
+    def perturbed(A, amps, N):
+        w = factorial_moment_weights(A, amps, N)
+        w[1] += 1e-3
+        return w
+
+    monkeypatch.setattr(condensate, "factorial_moment_weights", perturbed)
+    with pytest.raises(NumericalFailure, match="disagree"):
+        occupation_weights(psi, phi)
+
+
+@pytest.mark.parametrize("N", [1, 4, MAX_N])
+def test_one_call_makes_2n_products(rng, monkeypatch, N):
+    phi = random_orbital(rng, Grid(3, 1.0))
+    psi = random_state(rng, 3, N)
+    ops = []
+
+    def counted(q, basis):
+        ops.append(CountingOperator(second_quantize_onebody(q, basis)))
+        return ops[-1]
+
+    monkeypatch.setattr(condensate, "second_quantize_onebody", counted)
+    occupation_weights(psi, phi)
+    assert [op.products for op in ops] == [2 * N]
+
+
 def test_weights_capped_at_max_n(rng):
     grid = Grid(2, 1.0)
     phi = random_orbital(rng, grid)
@@ -149,7 +200,7 @@ def test_weights_capped_at_max_n(rng):
 
 @pytest.mark.parametrize("M", [2, 3, 4])
 def test_weights_hold_at_max_n(rng, M):
-    # the cap is where the moment solve still passes the Lagrange cross-check
+    # the cap is where the moment solve still passes the factorial-moment cross-check
     for _ in range(10):
         phi = random_orbital(rng, Grid(M, 1.0))
         wd = occupation_weights(random_state(rng, M, MAX_N), phi)

@@ -821,7 +821,12 @@ def test_cli_sweep_caps_only_the_N_it_runs(tmp_path):
         ["sweep", "--particles-list", "2,,3,4"],
         ["sweep", "--particles-list", ",2,3,4"],
         ["sweep", "--particles-list", "0,2,3"],
+        ["sweep", "--particles-list", "-1,2,3"],  # values that start with "-"
+        ["simulate", "--dt", "-1e-3"],
+        ["simulate", "--tfinal", "-2e-3"],
+        ["simulate", "--p", "-3/2"],
         ["eta-curve", "--p-grid", "3/2,,2"],
+        ["eta-curve", "--p-grid", "-3/2,,2"],
         ["eta-curve", "--p-grid", ","],
     ],
 )
@@ -836,7 +841,8 @@ def test_cli_malformed_input_exits_1(argv, tmp_path, capsys):
     method_cfg.write_text("method = dense\n")
     binary_cfg = tmp_path / "binary.cfg"
     binary_cfg.write_bytes(b"\xff\xfe sites = 6\n")
-    # Lists with an empty or a non-positive field: the error names the setting.
+    # Lists with an empty or a non-positive field, and values that start
+    # with "-": the error names the setting.
     named_settings = {
         "gaussian:1,,1": "interaction 'gaussian': empty field",
         "gaussian:1,1,": "interaction 'gaussian': empty field",
@@ -844,7 +850,12 @@ def test_cli_malformed_input_exits_1(argv, tmp_path, capsys):
         "2,,3,4": "particles_list: empty field",
         ",2,3,4": "particles_list: empty field",
         "0,2,3": "particles_list: particles must be positive",
+        "-1,2,3": "particles_list: particles must be positive",
+        "-1e-3": "dt must be positive and finite, got -0.001",
+        "-2e-3": "tfinal must be positive and finite, got -0.002",
+        "-3/2": "p must lie in (p0, 2]",
         "3/2,,2": "p-grid: empty field",
+        "-3/2,,2": "p-grid: empty field",
         ",": "p-grid: empty field",
     }
     names = dict(bad_cfg=bad_cfg, method_cfg=method_cfg, binary_cfg=binary_cfg, tmp_path=tmp_path)

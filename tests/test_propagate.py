@@ -21,7 +21,7 @@ from mfdyn.propagate import (
     lanczos_expm_apply,
 )
 
-from conftest import random_orbital
+from conftest import CountingOperator, random_orbital
 
 
 @pytest.fixture
@@ -124,20 +124,9 @@ def three_term_lanczos_expm(H, v, dt, maxdim, tol):
     raise NumericalFailure(f"Lanczos exponential did not converge within maxdim={maxdim}")
 
 
-class CountingOperator:
-    """H with a count of the products H @ v taken through it."""
-
-    def __init__(self, H):
-        self.H, self.shape, self.products = H, H.shape, 0
-
-    def __matmul__(self, v):
-        self.products += 1
-        return self.H @ v
-
-
 def random_hermitian(rng, dim):
-    A = sp.random(dim, dim, density=min(1.0, 5.0 / dim), format="csr", rng=rng)
-    A = A + 1j * sp.random(dim, dim, density=min(1.0, 5.0 / dim), format="csr", rng=rng)
+    A = sp.random(dim, dim, density=min(1.0, 5.0 / dim), format="csr", random_state=rng)
+    A = A + 1j * sp.random(dim, dim, density=min(1.0, 5.0 / dim), format="csr", random_state=rng)
     return (A + A.conj().T).tocsr()
 
 
