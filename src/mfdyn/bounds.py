@@ -44,32 +44,28 @@ def conjugate_q(p: float) -> float:
     return 2.0 * p / (p - 2.0)
 
 
-def wnorm_upper_bound(
-    w: LatticeField, p1: float, p2: float, cutoffs: list[float]
-) -> float:
-    """Upper bound on ||w||_{L^p1 + L^p2} via the split w = w 1_{|w|>a} + w 1_{|w|<=a},
-    minimized over the provided cutoffs a. Any split upper-bounds the infimum,
-    so envelopes built from this stay valid."""
-    if not cutoffs:
-        raise ConfigError("need at least one cutoff to bound the sum-space norm")
+def wnorm_upper_bound(w: LatticeField, p1: float, p2: float) -> float:
+    """Upper bound on ||w||_{L^p1 + L^p2}: the least ||w 1_{|w|>a}||_p1 + ||w 1_{|w|<=a}||_p2
+    over a in {0} and the values of |w|, i.e. over every level-set split. Any
+    split upper-bounds the infimum, so envelopes built from this stay valid."""
     if not (2 <= p1 <= p2):
         raise ConfigError(f"need 2 <= p1 <= p2, got p1={p1}, p2={p2}")
     best = np.inf
     absw = np.abs(w.values)
-    for a in cutoffs:
+    for a in np.unique(np.append(absw, 0.0)):
         big = LatticeField(w.grid, np.where(absw > a, w.values, 0.0))
         small = LatticeField(w.grid, np.where(absw > a, 0.0, w.values))
         best = min(best, lp_norm(big, p1) + lp_norm(small, p2))
     return float(best)
 
 
-def envelope_integrand(flow: np.ndarray, dx: float, q1: float, q2: float) -> np.ndarray:
-    """||phi(s)||_q1 + ||phi(s)||_q2 at every step of a Hartree solution, given
-    as the (steps + 1, M) array of `evolve_hartree` on a grid of spacing dx."""
-    if not (2 <= q2 <= q1):
-        raise ConfigError(f"need 2 <= q2 <= q1, got q1={q1}, q2={q2}")
-    norms = {q: lp_norms(flow, dx, q) for q in {q1, q2}}
-    return norms[q1] + norms[q2]
+def envelope_integrand(flow: np.ndarray, dx: float, p1: float, p2: float) -> np.ndarray:
+    """||phi(s)||_q1 + ||phi(s)||_q2, 1/2 = 1/p_i + 1/q_i, at every step of a Hartree
+    solution: the (steps + 1, M) array of `evolve_hartree` on a grid of spacing dx."""
+    if not (2 <= p1 <= p2):
+        raise ConfigError(f"need 2 <= p1 <= p2, got p1={p1}, p2={p2}")
+    norms = {p: lp_norms(flow, dx, conjugate_q(p)) for p in {p1, p2}}
+    return norms[p1] + norms[p2]
 
 
 def phi_envelope_integral(

@@ -48,6 +48,8 @@ from .propagate import NBodyStepper, PropagatorConfig
 from .reduce import DensityMatrix, E_k, R_k, _condensate_vector_for
 
 DENSE_ORACLE_CAP = 4096
+INDICATOR_SAMPLES = 1000  # random (gamma, phi) pairs of the indicators suite
+INDICATOR_SEED = 7
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +236,12 @@ def random_symmetric_gamma2(rng, M: int) -> DensityMatrix:
     return DensityMatrix(2, rho / np.trace(rho).real)
 
 
-def indicators_suite(samples: int = 1000, seed: int = 7) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def indicators_suite() -> list[CheckResult]:
+    rng = np.random.default_rng(INDICATOR_SEED)
     grid = Grid(6, 1.0)
     M = grid.sites
     worst = {"E<=R": 0.0, "R<=sqrt8E": 0.0, "seiringer": 0.0, "E2<=2E1": 0.0}
-    for _ in range(samples):
+    for _ in range(INDICATOR_SAMPLES):
         phi = _random_orbital(rng, grid)
         g = DensityMatrix(1, _random_density(rng, M))
         e, r = E_k(g, phi), R_k(g, phi)

@@ -118,7 +118,9 @@ def cmd_sweep(args) -> int:
     result = sweep_N(cfg)
     _emit(records_csv(result.records), cfg.out)
     if result.degenerate:
-        print("# fit: degenerate (all E1 below 1e-12)", file=sys.stderr)
+        low = result.below_floor
+        at = f" at N = {', '.join(map(str, low))}" if len(low) < len(result.runs) else ""
+        print(f"# fit: degenerate ({'' if at else 'all '}E1 below 1e-12{at})", file=sys.stderr)
     else:
         print(
             f"# fit: E1 slope = {result.e_slope!r}, R1 slope = {result.r_slope!r}",

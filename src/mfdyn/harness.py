@@ -17,7 +17,6 @@ import numpy as np
 from .blas import pin_one_thread
 from .bounds import (
     beta_bound_envelope,
-    conjugate_q,
     energies,
     envelope_integrand,
     eta_of,
@@ -130,7 +129,7 @@ def make_config(**kwargs) -> RunConfig:
 
 
 def parse_config_file(path: str) -> dict:
-    """Plain-text `key = value` configuration; unknown keys are errors."""
+    """Plain-text `key = value` configuration; unknown or repeated keys are errors."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -147,6 +146,8 @@ def parse_config_file(path: str) -> dict:
         key = key.replace("-", "_")
         if key not in _DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} set twice")
         out[key] = value
     return out
 
@@ -280,12 +281,6 @@ class RunResult:
         )
 
 
-def default_cutoffs(w: LatticeField) -> list[float]:
-    absw = np.abs(w.values)
-    qs = np.quantile(absw, [0.25, 0.5, 0.75])
-    return sorted(set([0.0, *(float(q) for q in qs), float(absw.max())]))
-
-
 class LatticeProblem(NamedTuple):
     """The lattice problem of a config: grid, external potential (None
     for none), interaction, one-body Hamiltonian, initial orbital phi_0
@@ -344,8 +339,8 @@ def hartree_side(cfg: RunConfig, problem: LatticeProblem | None = None) -> Hartr
     steps = cfg.steps
     flow = evolve_hartree(grid, v, w, phi0, cfg.dt, steps)
     times = cfg.dt * np.arange(steps + 1)
-    w_bound = wnorm_upper_bound(w, cfg.p1, cfg.p2, default_cutoffs(w))
-    env = envelope_integrand(flow, cfg.dx, conjugate_q(cfg.p1), conjugate_q(cfg.p2))
+    w_bound = wnorm_upper_bound(w, cfg.p1, cfg.p2)
+    env = envelope_integrand(flow, cfg.dx, cfg.p1, cfg.p2)
     ptil = phi_tilde_integrand(flow, cfg.dx, h)
     return HartreeSide(
         problem=problem,
@@ -535,8 +530,12 @@ class SweepResult:
         return [r for run in self.runs.values() for r in run.records]
 
     @property
-    def degenerate(self) -> bool:  # every final-time E1 below 1e-12: no fit
+    def degenerate(self) -> bool:  # some final-time E1 below 1e-12: no fit
         return self.e_slope is None
+
+    @property
+    def below_floor(self) -> list:  # the N whose final-time E1 is roundoff, below 1e-12
+        return [N for N, run in self.runs.items() if run.records[-1].E1 < 1e-12]
 
     def fitted_Ks(self) -> dict:
         return {N: run.fitted_K() for N, run in self.runs.items()}
@@ -567,15 +566,15 @@ def sweep_N(cfg: RunConfig) -> SweepResult:
         ]
         records = dict(item for stream in streams for item in stream)
     runs = {N: RunResult(configs[N], records[N], side) for N in Ns}
-
+    result = SweepResult(runs, None, None)
+    if result.below_floor:
+        return result
     e_final = np.array([run.records[-1].E1 for run in runs.values()])
     r_final = np.array([run.records[-1].R1 for run in runs.values()])
-    if np.max(e_final) < 1e-12:
-        return SweepResult(runs, None, None)
     logN = np.log(np.array(Ns, dtype=float))
     e_slope = float(np.polyfit(logN, np.log(e_final), 1)[0])
     r_slope = float(np.polyfit(logN, np.log(r_final), 1)[0])
-    return SweepResult(runs, e_slope, r_slope)
+    return replace(result, e_slope=e_slope, r_slope=r_slope)
 
 
 def _sweep_worker(jobs: int, configs: dict, side: HartreeSide):

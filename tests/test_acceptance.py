@@ -86,7 +86,7 @@ def invsq_sweeps():
 
 
 def test_criterion_1_indicator_inequalities():
-    rows = indicators_suite(samples=1000, seed=7)
+    rows = indicators_suite()
     ineq = [r for r in rows if r.name in ("E<=R", "R<=sqrt8E", "seiringer", "E2<=2E1")]
     assert len(ineq) == 4
     worst = max(r.residual for r in ineq)

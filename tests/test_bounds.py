@@ -77,9 +77,9 @@ def test_conjugate_q():
 
 
 def test_wnorm_upper_bound_brute_force(rng):
-    # oracle: scan a fine grid of cutoffs; the implementation minimizes over
-    # its own cutoff list, so it must upper-bound the fine-scan minimum and
-    # be bounded below by it minus nothing (it IS a valid split for each a)
+    # oracle: scan a fine grid of cutoffs; every cutoff gives a level-set
+    # split, and 400 levels reach every distinct split of these 10 values,
+    # so the bound lies within rounding of the scan's minimum
     grid = Grid(10, 0.7)
     w = sample_interaction(grid, "random", seed=9)
     absw = np.abs(w.values)
@@ -89,24 +89,96 @@ def test_wnorm_upper_bound_brute_force(rng):
         big = LatticeField(grid, np.where(absw > a, w.values, 0.0))
         small = LatticeField(grid, np.where(absw > a, 0.0, w.values))
         best = min(best, lp_norm(big, 2.0) + lp_norm(small, 6.0))
-    got = wnorm_upper_bound(w, 2.0, 6.0, [0.0, 0.1, 0.2, 0.4, float(absw.max())])
-    assert got >= best - 1e-12  # any coarse minimum upper-bounds the fine one
-    # with the full value set as cutoffs it matches the discrete infimum
-    exact = wnorm_upper_bound(w, 2.0, 6.0, sorted(set(absw.tolist()) | {0.0}))
-    assert exact <= best + 1e-12
+    got = wnorm_upper_bound(w, 2.0, 6.0)
+    assert abs(got - best) <= 1e-12
 
 
 def test_wnorm_single_piece_reduces_to_lp(rng):
     grid = Grid(8, 0.5)
     w = sample_interaction(grid, "gaussian", lam=2.0, sigma=1.0)
-    # cutoff 0 puts everything in the p1 piece; cutoff above max puts all in p2
-    hi = float(np.abs(w.values).max()) + 1.0
-    assert wnorm_upper_bound(w, 2.0, 4.0, [0.0]) == pytest.approx(lp_norm(w, 2.0))
-    assert wnorm_upper_bound(w, 2.0, 4.0, [hi]) == pytest.approx(lp_norm(w, 4.0))
+    # the splits with all of w in one piece are among the candidates
+    got = wnorm_upper_bound(w, 2.0, 4.0)
+    assert got <= min(lp_norm(w, 2.0), lp_norm(w, 4.0))
     with pytest.raises(ConfigError):
-        wnorm_upper_bound(w, 2.0, 4.0, [])
-    with pytest.raises(ConfigError):
-        wnorm_upper_bound(w, 4.0, 2.0, [0.0])
+        wnorm_upper_bound(w, 4.0, 2.0)
+
+
+def _power_kernel(grid, s):
+    """|x|^-s with w(0) = dx^-s, the invsquare rule for the exponent s."""
+    d = np.abs(grid.min_image(grid.coords))
+    d[0] = grid.spacing
+    return LatticeField(grid, d**-s)
+
+
+def _split_value(w, big, p1, p2):
+    """||w 1_big||_p1 + ||w 1_{not big}||_p2."""
+    outer = LatticeField(w.grid, np.where(big, w.values, 0.0))
+    inner = LatticeField(w.grid, np.where(big, 0.0, w.values))
+    return lp_norm(outer, p1) + lp_norm(inner, p2)
+
+
+def _quartile_bound(w, p1, p2):
+    """The least split at the cutoffs 0, the quartiles of |w| and max |w|,
+    the list that wnorm_upper_bound was once given."""
+    absw = np.abs(w.values)
+    cutoffs = {0.0, *np.quantile(absw, [0.25, 0.5, 0.75]).tolist(), float(absw.max())}
+    return min(_split_value(w, absw > a, p1, p2) for a in cutoffs)
+
+
+_TIES_AND_ZEROS = np.array([0.0, 0.5, -0.5, 0.0, 1.25, 0.5, -1.25, 0.0, 0.25, 0.5])
+
+
+def _peak_on_plateau():
+    """One site at 4 on a plateau rising from 1 to 1.1, on a fine grid:
+    at p = (2, inf) the least split puts the peak alone in L^2, a cutoff
+    that no quartile of |w| gives."""
+    values = np.linspace(1.0, 1.1, 64)
+    values[0] = 4.0
+    return LatticeField(Grid(64, 0.05), values)
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        LatticeField(Grid(10, 0.7), _TIES_AND_ZEROS),
+        LatticeField(Grid(9, 1.0), np.round(np.random.default_rng(3).uniform(-2, 2, 9))),
+        LatticeField(Grid(12, 0.5), np.random.default_rng(4).integers(-2, 3, 12) * 0.75),
+        sample_interaction(Grid(11, 0.8), "random", seed=2),
+        sample_interaction(Grid(8, 1.0), "invsquare", lam=1.0),
+        sample_interaction(Grid(12, 0.5), "softcoulomb", lam=1.0, eps=0.5),
+        _power_kernel(Grid(10, 1.0), 0.4),
+        _power_kernel(Grid(12, 0.3), 0.8),
+        _peak_on_plateau(),
+    ],
+    ids=["ties-zeros", "rounded", "integer-levels", "random", "invsquare", "softcoulomb",
+         "power0.4", "power0.8", "peak-on-plateau"],
+)
+@pytest.mark.parametrize("p1, p2", [(2.0, np.inf), (2.0, 4.0), (3.0, 6.0), (4.0, 8.0), (np.inf, np.inf)])
+def test_wnorm_is_the_least_level_set_split(w, p1, p2):
+    # oracle: every level set S = the k largest |w|, for each k that does
+    # not part two equal |w|, summed as ||w 1_S||_p1 + ||w 1_{not S}||_p2;
+    # and it never exceeds the bound of the quartile cutoffs
+    absw = np.abs(w.values)
+    order = np.argsort(-absw, kind="stable")
+    best = np.inf
+    for k in range(w.grid.sites + 1):
+        if 0 < k < w.grid.sites and absw[order[k - 1]] == absw[order[k]]:
+            continue
+        big = np.zeros(w.grid.sites, dtype=bool)
+        big[order[:k]] = True
+        best = min(best, _split_value(w, big, p1, p2))
+    got = wnorm_upper_bound(w, p1, p2)
+    assert got == best
+    assert got <= _quartile_bound(w, p1, p2)
+
+
+def test_wnorm_finds_a_split_no_quartile_gives():
+    w = _peak_on_plateau()
+    peak_alone = np.arange(64) == 0
+    got = wnorm_upper_bound(w, 2.0, np.inf)
+    assert got == _split_value(w, peak_alone, 2.0, np.inf)
+    assert got == pytest.approx(4.0 * np.sqrt(0.05) + 1.1, abs=1e-12)
+    assert _quartile_bound(w, 2.0, np.inf) > got + 0.07  # 2.069 against 1.994
 
 
 def test_phi_integral_sup_norm_case(grid6, gaussian_w):
@@ -115,13 +187,15 @@ def test_phi_integral_sup_norm_case(grid6, gaussian_w):
     phi0 = gaussian_orbital(grid6, x0=3.0, sigma=1.0)
     flow = evolve_hartree(grid6, None, gaussian_w, phi0, dt=1e-2, steps=100)
     times = 1e-2 * np.arange(101)
-    integrand = envelope_integrand(flow, grid6.spacing, 2.0, 2.0)
+    integrand = envelope_integrand(flow, grid6.spacing, np.inf, np.inf)
     winf = lp_norm(gaussian_w, np.inf)
     for k, t in ((0, 0.0), (50, 0.5), (100, 1.0)):
         got = phi_envelope_integral(integrand[: k + 1], times[: k + 1], winf)
         assert got == pytest.approx(64.0 * winf * t, abs=1e-9)
     with pytest.raises(ConfigError):
-        envelope_integrand(flow, grid6.spacing, 2.0, 4.0)  # needs q2 <= q1
+        envelope_integrand(flow, grid6.spacing, 4.0, 2.0)  # needs p1 <= p2
+    with pytest.raises(ConfigError):
+        envelope_integrand(flow, grid6.spacing, 1.5, 4.0)  # needs p1 >= 2
 
 
 @pytest.mark.parametrize("M, dx", [(6, 0.7), (8, 0.5), (12, 1.3)])
@@ -134,10 +208,12 @@ def test_envelope_integrands_on_the_flow_array(M, dx):
     phi0 = gaussian_orbital(grid, x0=0.4 * grid.length, sigma=0.8)
     flow = evolve_hartree(grid, None, w, phi0, dt=1e-2, steps=60)
     fields = [LatticeField(grid, values) for values in flow]
-    for q1, q2 in ((2.0, 2.0), (4.0, 2.0), (np.inf, 4.0), (np.inf, 2.0)):
-        got = envelope_integrand(flow, dx, q1, q2)
+    # (q1, q2) = (2, 2), (4, 2), (inf, 4), (inf, 2)
+    for p1, p2 in ((np.inf, np.inf), (4.0, np.inf), (2.0, 4.0), (2.0, np.inf)):
+        got = envelope_integrand(flow, dx, p1, p2)
+        q1, q2 = conjugate_q(p1), conjugate_q(p2)
         want = np.array([lp_norm(f, q1) + lp_norm(f, q2) for f in fields])
-        assert np.array_equal(got, want), (q1, q2)
+        assert np.array_equal(got, want), (p1, p2)
     sobolev = []
     for values in flow:
         u = np.sqrt(dx) * values

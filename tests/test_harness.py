@@ -24,7 +24,6 @@ from mfdyn.harness import (
     INTERACTIONS,
     POTENTIALS,
     RunConfig,
-    default_cutoffs,
     eta_curve,
     initial_orbital,
     interaction_field,
@@ -94,6 +93,23 @@ def test_parse_config_file(tmp_path):
         parse_config_file(str(noeq))
 
 
+@pytest.mark.parametrize(
+    "command, text, lineno, key",
+    [
+        ("simulate", "sites = 6\nparticles = 3\n# then\n\nparticles = 2\n", 5, "particles"),
+        ("sweep", "particles-list = 2,3,4\nparticles_list = 3,4,5\n", 2, "particles_list"),
+    ],
+)
+def test_config_file_refuses_a_key_set_twice(command, text, lineno, key, tmp_path, capsys):
+    # the last value used to win without a word; '-' and '_' name one key
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(text)
+    with pytest.raises(ConfigError):
+        parse_config_file(str(cfg_file))
+    assert main([command, "--config", str(cfg_file)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg_file}:{lineno}: key {key!r} set twice\n"
+
+
 def test_spec_string_parsing():
     grid = Grid(6, 1.0)
     cfg = make_config(potential="harmonic:2.0", interaction="softcoulomb:1,0.5")
@@ -127,7 +143,7 @@ def test_records_use_hartree_orbital_of_their_step():
     h = build_h(grid, v)
     flow = evolve_hartree(grid, v, w, initial_orbital(cfg, grid, h), cfg.dt, cfg.steps)
     times = cfg.dt * np.arange(cfg.steps + 1)
-    w_bound = wnorm_upper_bound(w, cfg.p1, cfg.p2, default_cutoffs(w))
+    w_bound = wnorm_upper_bound(w, cfg.p1, cfg.p2)
     fields = [LatticeField(grid, values) for values in flow]
     integrand = np.array(
         [lp_norm(f, conjugate_q(cfg.p1)) + lp_norm(f, conjugate_q(cfg.p2)) for f in fields]
@@ -205,6 +221,24 @@ def test_sweep_with_a_constant_interaction_is_degenerate(capsys):
     assert main(["sweep", *fast, *argv]) == 0
     captured = capsys.readouterr()
     assert "# fit: degenerate (all E1 below 1e-12)" in captured.err.splitlines()
+    assert captured.out == records_csv(res.records)
+
+
+def test_sweep_with_one_final_E1_at_roundoff_is_degenerate(capsys):
+    # N = 1 keeps the ground state on the Hartree orbital: its final E1 is
+    # roundoff, and a fit through it read slopes of 23.4 and 24.0
+    settings = dict(sites=6, particles_list=(1, 2, 3), initial="groundstate", tfinal=0.1)
+    res = sweep_N(make_config(**settings))
+    assert res.degenerate
+    assert res.e_slope is None and res.r_slope is None
+    assert res.below_floor == [1]
+    assert min(res.runs[N].records[-1].E1 for N in (2, 3)) > 1e-4
+    argv = ["--sites", "6", "--particles-list", "1,2,3", "--initial", "groundstate",
+            "--tfinal", "0.1"]
+    assert main(["sweep", *argv]) == 0
+    captured = capsys.readouterr()
+    fits = [line for line in captured.err.splitlines() if line.startswith("# fit:")]
+    assert fits == ["# fit: degenerate (E1 below 1e-12 at N = 1)"]
     assert captured.out == records_csv(res.records)
 
 
