@@ -87,9 +87,12 @@ def config_from_args(args) -> RunConfig:
 
 
 def _check_out(out: str) -> None:
-    """Refuse an `out` whose directory cannot be written. The file is left
-    unopened, so a failed run leaves none; `_emit` reports later failures."""
+    """Refuse an `out` that is a directory or whose directory cannot be
+    written. The file is left unopened, so a failed run leaves none; `_emit`
+    reports later failures."""
     folder = os.path.dirname(out) or "."
+    if out and os.path.isdir(out):
+        raise ConfigError(f"cannot write {out}: it is a directory")
     if out and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
         raise ConfigError(f"cannot write {out}: {folder} is not a writable directory")
 

@@ -176,8 +176,8 @@ def second_quantize_onebody(
     come out zero are dropped and -0.0 parts become +0.0, so the result
     equals, bit for bit, the sparse sum of the hop matrix and the diagonals.
     Hop amplitudes are at least 1, so a hop is zero exactly where its
-    entry of A is: zeros are looked for on A and the diagonal, not on
-    every CSR entry.
+    entry of A is: zeros are looked for on A and the diagonal, and only
+    then does `eliminate_zeros` run, on a copy of the shared pattern.
     """
     A = np.asarray(A)
     if A.shape != (basis.sites, basis.sites):
@@ -196,9 +196,9 @@ def second_quantize_onebody(
     zero_hops = flat == 0
     zero_hops[:: basis.sites + 1] = False  # A's diagonal enters through `diag` only
     if zero_hops.any() or not diag.all():
-        keep = data != 0
-        data, indices = data[keep], indices[keep]
-        indptr = np.concatenate([[0], np.cumsum(keep)])[indptr]
+        out = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(basis.dim, basis.dim))
+        out.eliminate_zeros()
+        return out
     return sp.csr_matrix((data, indices, indptr), shape=(basis.dim, basis.dim))
 
 
@@ -211,9 +211,7 @@ def interaction_diagonal(w: LatticeField, basis: OccupationBasis) -> np.ndarray:
 
 
 def build_HN(h: np.ndarray, w: LatticeField, basis: OccupationBasis) -> sp.csr_matrix:
-    """H_N = dGamma(h) + (1/N) * pair interaction, as one CSR."""
-    if basis.particles == 0:
-        return second_quantize_onebody(h, basis)
+    """H_N = dGamma(h) + (1/N) * pair interaction, as one CSR; N >= 1."""
     # times 1/N, not / N: the scalar division of a sparse matrix did this
     pair = interaction_diagonal(w, basis).astype(complex) * (1 / basis.particles)
     return second_quantize_onebody(h, basis, pair)

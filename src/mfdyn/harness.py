@@ -31,7 +31,7 @@ from .bounds import (
 from .condensate import MAX_N, alpha_of, beta_of, occupation_weights, pair_depletion_of
 from .errors import ConfigError, NumericalFailure
 from .fock import ManyBodyState, build_HN, enumerate_basis, product_state
-from .lattice import Grid, LatticeField, sample_interaction
+from .lattice import INTERACTIONS, Grid, LatticeField, sample_interaction
 from .onebody import (
     Orbital,
     build_h,
@@ -43,15 +43,8 @@ from .onebody import (
 from .propagate import NBodyStepper, PropagatorConfig
 from .reduce import E_k, R_k, gamma1, gamma2
 
-# Spec strings 'kind:a,b': {kind: parameter names}.
+# Spec strings 'kind:a,b': {kind: parameter names}, as in lattice.INTERACTIONS.
 POTENTIALS = {"none": (), "harmonic": ("omega",)}
-INTERACTIONS = {
-    "constant": ("c",),
-    "gaussian": ("lam", "sigma"),
-    "softcoulomb": ("lam", "eps"),
-    "invsquare": ("lam",),
-    "random": ("seed",),
-}
 INITIALS = {"gaussian": ("x0", "sigma"), "groundstate": ()}
 
 # Largest residual of alpha = E^(1) and of the E^(2) weight identity that a

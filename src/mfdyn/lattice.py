@@ -121,51 +121,53 @@ def convolution_kernel_matrix(w: LatticeField) -> np.ndarray:
     return circulant(w).real.copy()
 
 
+# Interaction kinds and their parameters, as spec strings 'kind:a,b' name
+# them; d is the minimal-image distance.
+INTERACTIONS = {
+    "constant": ("c",),  # c
+    "gaussian": ("lam", "sigma"),  # lam * exp(-d^2 / (2 sigma^2))
+    "softcoulomb": ("lam", "eps"),  # lam / sqrt(d^2 + eps^2)
+    "invsquare": ("lam",),  # lam / d^2, with w(0) = lam / dx^2
+    "random": ("seed",),  # bounded even noise in [-1, 1]; seed an integer >= 0
+}
+
+
 @np.errstate(all="ignore")  # LatticeField refuses a nonfinite field, without a warning
 def sample_interaction(grid: Grid, kind: str, **params) -> LatticeField:
-    """Sample an even, real interaction potential on the grid.
-
-    Kinds and parameters:
-      constant: c
-      gaussian: lam, sigma         lam * exp(-d^2 / (2 sigma^2))
-      softcoulomb: lam, eps        lam / sqrt(d^2 + eps^2)
-      invsquare: lam               lam / d^2, with w(0) = lam / dx^2
-      random: seed                 bounded even noise in [-1, 1]; seed an integer >= 0
+    """Sample an even, real interaction potential of a kind in
+    `INTERACTIONS`, given exactly that kind's parameters by name.
 
     Singular kinds are regularized at the origin by the explicit w(0) rule
-    above; d is the minimal-image distance.
+    of their formula.
     """
+    if kind not in INTERACTIONS:
+        raise ConfigError(f"unknown interaction {kind!r}; choose from {sorted(INTERACTIONS)}")
+    if sorted(params) != sorted(INTERACTIONS[kind]):
+        raise ConfigError(f"interaction {kind!r} takes {INTERACTIONS[kind]}, got {sorted(params)}")
     d = grid.min_image(grid.coords)
     if kind == "constant":
-        c = float(params.pop("c"))
-        vals = np.full(grid.sites, c)
+        vals = np.full(grid.sites, float(params["c"]))
     elif kind == "gaussian":
-        lam = float(params.pop("lam"))
-        sigma = np.float64(params.pop("sigma"))  # sigma**2 may overflow to inf
+        sigma = np.float64(params["sigma"])  # sigma**2 may overflow to inf
         if not sigma > 0:
             raise ConfigError(f"gaussian interaction needs sigma > 0, got {sigma}")
-        vals = lam * np.exp(-(d**2) / (2.0 * sigma**2))
+        vals = float(params["lam"]) * np.exp(-(d**2) / (2.0 * sigma**2))
     elif kind == "softcoulomb":
-        lam = float(params.pop("lam"))
-        eps = np.float64(params.pop("eps"))
+        eps = np.float64(params["eps"])
         if not eps > 0:
             raise ConfigError(f"soft-coulomb interaction needs eps > 0, got {eps}")
-        vals = lam / np.sqrt(d**2 + eps**2)
+        vals = float(params["lam"]) / np.sqrt(d**2 + eps**2)
     elif kind == "invsquare":
-        lam = float(params.pop("lam"))
+        lam = float(params["lam"])
         vals = np.empty(grid.sites)
         vals[0] = lam / grid.spacing**2
         vals[1:] = lam / d[1:] ** 2
     elif kind == "random":
-        seed = params.pop("seed")
+        seed = params["seed"]
         if not (float(seed).is_integer() and seed >= 0):
             raise ConfigError(f"random interaction needs an integer seed >= 0, got {seed}")
         rng = np.random.default_rng(int(seed))
         raw = rng.uniform(-1.0, 1.0, grid.sites)
         # symmetrize to make w even under x -> L - x
         vals = 0.5 * (raw + raw[(-np.arange(grid.sites)) % grid.sites])
-    else:
-        raise ConfigError(f"unknown interaction kind {kind!r}")
-    if params:
-        raise ConfigError(f"unexpected parameters for {kind!r}: {sorted(params)}")
     return LatticeField(grid, vals)

@@ -228,6 +228,8 @@ def test_envelopes_overflow_to_inf_without_a_warning():
     assert gronwall_alpha_bound(0.1, 4, 1000.0) == math.inf
     assert beta_bound_envelope(0.1, -0.05, 4, 1.0 / 3.0, 1.0, 1000.0) == math.inf
     assert beta_bound_envelope(0.0, -2.0, 4, 1.0 / 3.0, 1.0, 1000.0) == -math.inf
+    # a base of exactly 0 (beta0 + gap = -N^-eta) stays 0, not 0 * inf = nan
+    assert beta_bound_envelope(0.0, -0.25, 4, 1.0, 1.0, 1000.0) == 0.0
     # below the float range the product is np.exp's, as before
     assert gronwall_alpha_bound(0.1, 4, 700.0) == float((0.1 + 1.0 / 4) * np.exp(700.0))
     assert math.isfinite(gronwall_alpha_bound(0.0, 1, 709.0))
@@ -306,3 +308,6 @@ def test_fitted_K_recovers_planted_constant():
     # if beta never exceeds the base, the minimal K is 0
     low = fitted_K(times, 0.1 * np.ones_like(times), phi_tildes, 0.1, 0.2, 10, 1.0)
     assert low == 0.0
+    # a non-positive base beta0 + gap + N^-eta: no K can make the envelope hold
+    assert fitted_K(times, betas, phi_tildes, 0.0, -0.1, 10, 1.0) == math.inf
+    assert fitted_K(times, betas, phi_tildes, 0.0, -0.5, 10, 1.0) == math.inf

@@ -242,6 +242,12 @@ def test_annihilate_lowers_sector_and_counts(rng, grid6):
     assert total == pytest.approx(3.0, abs=1e-10)
     with pytest.raises(ConfigError):
         annihilate(np.ones(1), enumerate_basis(6, 0), 1)
+    with pytest.raises(ConfigError, match="basis dimension"):
+        annihilate(np.ones(basis.dim + 1), basis, 1)
+    with pytest.raises(ConfigError, match="does not match M=6"):
+        second_quantize_onebody(np.eye(5), basis)
+    with pytest.raises(ConfigError, match="different site counts"):
+        product_state(phi, enumerate_basis(5, 3))
 
 
 def test_annihilate_product_state_factorizes(rng, grid6):

@@ -16,6 +16,7 @@ import pytest
 
 from mfdyn import blas, condensate, harness
 from mfdyn.bounds import conjugate_q, wnorm_upper_bound
+from mfdyn.checks import SUITES
 from mfdyn.cli import build_parser, config_from_args, main
 from mfdyn.errors import ConfigError, NumericalFailure
 from mfdyn.harness import (
@@ -788,6 +789,10 @@ def test_cli_check_suite(capsys):
         out = capsys.readouterr().out
         assert f"PASS {suite}/" in out
         assert "FAIL" not in out
+    assert main(["check", "nosuch"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert all(suite in err for suite in SUITES)
 
 
 def test_cli_sweep_reports_fit(tmp_path, capsys):
@@ -981,15 +986,18 @@ def test_cli_refuses_out_into_a_missing_directory_before_the_run(
 
     for name in ("run_simulation", "sweep_N", "eta_curve"):
         monkeypatch.setattr(f"mfdyn.cli.{name}", never)
-    out = tmp_path / "missing" / "x.csv"
-    argv = [command, "--out", str(out)]
-    argv += ["--p-grid", "3/2"] if command == "eta-curve" else ["--tfinal", "0.01"]
-    if command == "sweep":
-        argv += ["--particles-list", "2,3"]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
-    assert not out.parent.exists()
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    for out in (tmp_path / "missing" / "x.csv", existing):
+        argv = [command, "--out", str(out)]
+        argv += ["--p-grid", "3/2"] if command == "eta-curve" else ["--tfinal", "0.01"]
+        if command == "sweep":
+            argv += ["--particles-list", "2,3"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "missing").exists()
+    assert not any(existing.iterdir())
 
 
 def test_cli_help_names_every_spec_kind(capsys):

@@ -179,6 +179,12 @@ def test_sample_interaction_errors(grid8):
         sample_interaction(grid8, "nosuch", lam=1.0)
     with pytest.raises(ConfigError):
         sample_interaction(grid8, "constant", c=1.0, extra=2.0)
+    with pytest.raises(ConfigError, match="eps > 0"):
+        sample_interaction(grid8, "softcoulomb", lam=1, eps=0)
+    # a missing or misnamed parameter is refused by the table, not by a KeyError
+    for params in ({"lam": 1.0}, {"lam": 1.0, "width": 1.0}):
+        with pytest.raises(ConfigError, match=r"takes \('lam', 'sigma'\)"):
+            sample_interaction(grid8, "gaussian", **params)
     for seed in (2.5, -1):
         with pytest.raises(ConfigError):
             sample_interaction(grid8, "random", seed=seed)

@@ -206,6 +206,23 @@ def test_flow_names_the_first_nonfinite_step(monkeypatch, grid6, gaussian_w, k):
         evolve_hartree(grid6, None, gaussian_w, phi0, dt, steps)
 
 
+@pytest.mark.parametrize("k", [0, 7, 18])
+def test_flow_names_the_step_that_lost_normalization(monkeypatch, grid6, gaussian_w, k):
+    # the step from t = k dt doubles its output and the next one halves it,
+    # so only the orbital at t = (k + 1) dt has |phi|^2 = 4
+    dt, steps = 1e-2, 20
+    step = HartreeStepper.step
+
+    def step_scaled_at_k(self, values, t):
+        out = step(self, values, t)
+        return out * {k: 2.0, k + 1: 0.5}.get(round(t / dt), 1.0)
+
+    monkeypatch.setattr(HartreeStepper, "step", step_scaled_at_k)
+    phi0 = gaussian_orbital(grid6, x0=2.0, sigma=0.8)
+    with pytest.raises(NumericalFailure, match=rf"lost normalization: .* at t={(k + 1) * dt}$"):
+        evolve_hartree(grid6, None, gaussian_w, phi0, dt, steps)
+
+
 def test_stepper_rejects_bad_dt(grid6, gaussian_w):
     with pytest.raises(ConfigError):
         HartreeStepper(grid6, None, gaussian_w, dt=0.0)

@@ -58,6 +58,8 @@ def test_density_matrix_validation():
         DensityMatrix(1, np.array([[0.5, 0.3], [0.0, 0.5]]))  # not Hermitian
     with pytest.raises(NumericalFailure):
         DensityMatrix(1, np.eye(2))  # trace 2
+    with pytest.raises(ConfigError, match="square"):
+        DensityMatrix(1, np.ones((2, 3)) / 2)
 
 
 def test_density_matrix_rejects_nan():
