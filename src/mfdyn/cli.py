@@ -213,8 +213,8 @@ def main(argv=None) -> int:
         argv = sys.argv[1:] if argv is None else argv
         args = build_parser().parse_args(join_flag_values(argv))
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, MemoryError) as exc:  # a run too large to allocate is bad input too
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -322,12 +322,9 @@ class HartreeSide:
     phi_tildes: list
 
 
-def hartree_side(cfg: RunConfig, problem: LatticeProblem | None = None) -> HartreeSide:
+def hartree_side(cfg: RunConfig, problem: LatticeProblem) -> HartreeSide:
     """Solve the Hartree flow of `cfg` and integrate both envelope
-    exponents up to every record step; `problem` is `lattice_problem(cfg)`,
-    built here when not given."""
-    if problem is None:
-        problem = lattice_problem(cfg)
+    exponents up to every record step; `problem` is `lattice_problem(cfg)`."""
     grid, v, w, h, phi0, record_steps = problem
     steps = cfg.steps
     flow = evolve_hartree(grid, v, w, phi0, cfg.dt, steps)
@@ -346,28 +343,32 @@ def hartree_side(cfg: RunConfig, problem: LatticeProblem | None = None) -> Hartr
     )
 
 
-def run_simulation(cfg: RunConfig, side: HartreeSide | None = None) -> RunResult:
+def run_simulation(cfg: RunConfig) -> RunResult:
     """Co-evolve Psi (exact) and phi (Hartree) for one N; one record per stride.
 
-    `side` is `hartree_side(c)` of a config `c` that differs from `cfg` at
-    most in its N values; it is computed here when not given. Psi steps
-    through `_in_child` while this process solves the Hartree side, if it
-    was not given, and builds each record as its state arrives. This
-    process keeps numpy's OpenBLAS pool at one thread afterwards. A record
-    whose alpha = E1 or E2 weight identity is off by more than IDENTITY_TOL
+    Psi steps through `_in_child` while this process solves the Hartree
+    side, and each record is built as its state arrives. This process
+    keeps numpy's OpenBLAS pool at one thread afterwards. A record whose
+    alpha = E1 or E2 weight identity is off by more than IDENTITY_TOL
     raises NumericalFailure.
     """
     if cfg.particles_list:
         raise ConfigError("--particles-list belongs to `mfdyn sweep`; a run takes one N")
-    problem = lattice_problem(cfg) if side is None else side.problem
+    problem = lattice_problem(cfg)
+    basis, H, snapshots = _nbody_side(cfg, problem)
+    with _in_child(snapshots) as states:
+        side = hartree_side(cfg, problem)
+        records = _records(cfg, basis, H, side, states)
+    return RunResult(cfg, records, side)
+
+
+def _nbody_side(cfg: RunConfig, problem: LatticeProblem):
+    """The basis and H_N of `cfg`'s N, and the unstarted stream of Psi's
+    amplitudes at the record steps, from the product state of phi_0."""
     basis = enumerate_basis(cfg.sites, cfg.particles)
     H = build_HN(problem.h, problem.w, basis)
     psi0 = product_state(problem.phi0, basis).amps
-    with _in_child(_snapshots(H, psi0, cfg, problem.record_steps)) as states:
-        if side is None:
-            side = hartree_side(cfg, problem)
-        records = _records(cfg, basis, H, side, states)
-    return RunResult(cfg, records, side)
+    return basis, H, _snapshots(H, psi0, cfg, problem.record_steps)
 
 
 def _snapshots(H, amps: np.ndarray, cfg: RunConfig, record_steps: list):
@@ -435,9 +436,6 @@ def _check_identity(name: str, want: float, got: float, t: float) -> None:
         )
 
 
-_forked = False  # True in a child of `_in_child`, which never forks again
-
-
 @contextmanager
 def _in_child(items):
     """Give the block an iterator over the unstarted generator `items`,
@@ -448,13 +446,11 @@ def _in_child(items):
     in a child forked (not spawned: it inherits the pinned pool and the
     imported modules) while this process goes on, and the items arrive
     through a pipe, equal bit for bit to those of a one-process, one-thread
-    run; elsewhere, and in a process forked here, which never forks again,
-    it runs in this process. A failure in the child is raised from the
-    iterator with its own type and message, and a stream that ends without
-    the end mark raises RuntimeError. The child is reaped on leaving the
-    block, and killed first if the block fails."""
-    global _forked
-    if _forked or not pin_one_thread() or len(os.sched_getaffinity(0)) < 2:
+    run; elsewhere it runs in this process. A failure in the child is
+    raised from the iterator with its own type and message, and a stream
+    that ends without the end mark raises RuntimeError. The child is
+    reaped on leaving the block, and killed first if the block fails."""
+    if not pin_one_thread() or len(os.sched_getaffinity(0)) < 2:
         yield items
         return
     read_fd, write_fd = os.pipe()
@@ -465,7 +461,6 @@ def _in_child(items):
         os.close(write_fd)
         raise
     if pid == 0:
-        _forked = True
         os.close(read_fd)
         _feed(items, write_fd)  # does not return
     os.close(write_fd)
@@ -539,7 +534,8 @@ def sweep_N(cfg: RunConfig) -> SweepResult:
     the final-time indicators against N.
 
     The N values wait in a job pipe, largest first, for one `_sweep_worker`
-    per usable core, each run through `_in_child`. A failure in a worker
+    per usable core. Each worker runs through `_in_child` and steps and
+    records its N values in its own process. A failure in a worker
     is raised here, and the runs that have not started are dropped. This
     process and every worker keep numpy's OpenBLAS pool at one thread.
     """
@@ -547,7 +543,7 @@ def sweep_N(cfg: RunConfig) -> SweepResult:
     if len(Ns) < 3:
         raise ConfigError(f"a sweep needs at least 3 values of N in --particles-list, got {Ns}")
     configs = {N: replace(cfg, particles=N, particles_list=()) for N in Ns}
-    side = hartree_side(cfg)
+    side = hartree_side(cfg, lattice_problem(cfg))
     jobs, write_fd = os.pipe()
     os.write(write_fd, b"".join(N.to_bytes(4, "little") for N in reversed(Ns)))
     os.close(write_fd)  # before any fork, so an empty pipe reads as its end
@@ -579,7 +575,8 @@ def _sweep_worker(jobs: int, configs: dict, side: HartreeSide):
     try:
         while job := os.read(jobs, 4):
             N = int.from_bytes(job, "little")
-            done.append((N, run_simulation(configs[N], side).records))
+            basis, H, snapshots = _nbody_side(configs[N], side.problem)
+            done.append((N, _records(configs[N], basis, H, side, snapshots)))
     except BaseException:
         os.read(jobs, 4 * len(configs))
         raise

@@ -150,21 +150,22 @@ def evolve_hartree(
 ) -> np.ndarray:
     """Integrate the Hartree equation: a (steps + 1, M) array whose row k
     holds the orbital's values at t = k * dt. The whole flow is checked
-    once: the first step that produced a nonfinite amplitude is named, and
-    every row must be normalized, as an `Orbital` would be."""
+    once: every row must be finite and normalized, as an `Orbital` would
+    be, and the first row that is not names the start t of the step that
+    produced it."""
     stepper = HartreeStepper(grid, v, w, dt)
     flow = np.empty((steps + 1, grid.sites), dtype=complex)
     flow[0] = phi0.values
     for k in range(steps):
         flow[k + 1] = stepper.step(flow[k], k * dt)
     drift = np.abs(grid.spacing * np.sum(np.abs(flow) ** 2, axis=1) - 1.0)
-    finite = np.isfinite(drift)  # a nonfinite amplitude makes its row's sum nonfinite
-    if not finite.all():
-        k = int(np.argmin(finite)) - 1
-        raise NumericalFailure(f"Hartree step produced nonfinite amplitudes at t={k * dt}")
-    if np.max(drift) > ORBITAL_NORM_TOL:
-        k = int(np.argmax(drift))
+    bad = ~(drift <= ORBITAL_NORM_TOL)  # a nonfinite amplitude makes its row's drift nonfinite
+    if bad.any():
+        row = int(np.argmax(bad))
+        t = (row - 1) * dt
+        if not np.isfinite(drift[row]):
+            raise NumericalFailure(f"Hartree step produced nonfinite amplitudes at t={t}")
         raise NumericalFailure(
-            f"Hartree flow lost normalization: |phi|^2 - 1 = {drift[k]} at t={k * dt}"
+            f"Hartree flow lost normalization: |phi|^2 - 1 = {drift[row]} at t={t}"
         )
     return flow

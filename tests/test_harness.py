@@ -1,4 +1,5 @@
 import ctypes
+import errno
 import glob
 import json
 import math
@@ -149,7 +150,7 @@ def test_records_use_hartree_orbital_of_their_step():
     integrand = np.array(
         [lp_norm(f, conjugate_q(cfg.p1)) + lp_norm(f, conjugate_q(cfg.p2)) for f in fields]
     )
-    side = harness.hartree_side(cfg)
+    side = harness.hartree_side(cfg, lattice_problem(cfg))
     record_steps = side.problem.record_steps
     assert record_steps == [0, 4, 8, 10]  # the last step is a record step
     assert len(side.orbitals) == len(record_steps)
@@ -292,14 +293,14 @@ def test_sweep_workers_run_one_blas_thread_and_the_parent_keeps_one_after(
     set_numpy = blas.openblas_pool()
     if set_numpy is None:
         pytest.skip("numpy's bundled OpenBLAS is not loaded")
-    run = harness.run_simulation
+    records = harness._records
 
-    def reporting_run(cfg, side):
+    def reporting_records(cfg, *args):
         report = {"pid": os.getpid(), "blas": pool_sizes()}
         (tmp_path / f"{cfg.particles}.json").write_text(json.dumps(report))
-        return run(cfg, side)
+        return records(cfg, *args)
 
-    monkeypatch.setattr(harness, "run_simulation", reporting_run)
+    monkeypatch.setattr(harness, "_records", reporting_records)
     set_numpy(2)  # a parent pool size that the sweep pins to one for good
     size_scipy_blas_pool(2)
     before = pool_sizes()
@@ -318,13 +319,13 @@ def test_sweep_without_pinned_pools_or_a_second_core_runs_in_one_process(
 ):
     cfg = make_config(**FAST, particles_list=(2, 3, 4))
     forked = records_csv(sweep_N(cfg).records)
-    run = harness.run_simulation
+    records = harness._records
 
-    def reporting_run(cfg, side):
+    def reporting_records(cfg, *args):
         (tmp_path / f"{cfg.particles}.pid").write_text(str(os.getpid()))
-        return run(cfg, side)
+        return records(cfg, *args)
 
-    monkeypatch.setattr(harness, "run_simulation", reporting_run)
+    monkeypatch.setattr(harness, "_records", reporting_records)
     if reason == "one-core":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     else:
@@ -384,19 +385,41 @@ def runs_would_fork() -> bool:
     return blas.openblas_pool() is not None and len(os.sched_getaffinity(0)) > 1
 
 
+def test_openblas_pool_skips_a_match_this_process_has_not_loaded(monkeypatch):
+    # the glob also matches a library this process never loaded, sorted
+    # first: it is passed over, and not loaded, on the way to numpy's own
+    if blas.openblas_pool() is None:
+        pytest.skip("numpy's bundled OpenBLAS is not loaded")
+    matches, load = glob.glob, ctypes.CDLL
+    tried = []
+
+    def with_an_unloaded_match(pattern):
+        return [*matches(pattern), os.path.join(os.path.dirname(pattern), "a-not-loaded.so")]
+
+    def logged_load(path, mode):
+        tried.append(os.path.basename(path))
+        return load(path, mode=mode)
+
+    monkeypatch.setattr(blas.glob, "glob", with_an_unloaded_match)
+    monkeypatch.setattr(blas.ctypes, "CDLL", logged_load)
+    set_fn = blas.openblas_pool()
+    assert set_fn is not None and set_fn.__name__ == blas.OPENBLAS_LIB[1]
+    assert len(tried) == 2 and tried[0] == "a-not-loaded.so"
+
+
 def test_sweep_workers_outnumbering_the_cores_run_each_N_once(tmp_path, monkeypatch):
     if not runs_would_fork():
         pytest.skip("the sweep runs in this process")
     cfg = make_config(**FAST, particles_list=(2, 3, 4, 5, 6))
     one_per_core = records_csv(sweep_N(cfg).records)
-    run = harness.run_simulation
+    records = harness._records
 
-    def logging_run(cfg, side):
+    def logging_records(cfg, *args):
         with open(tmp_path / str(cfg.particles), "a") as log:
             log.write(f"{os.getpid()}\n")
-        return run(cfg, side)
+        return records(cfg, *args)
 
-    monkeypatch.setattr(harness, "run_simulation", logging_run)
+    monkeypatch.setattr(harness, "_records", logging_records)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))  # 5 workers
     res = sweep_N(cfg)
     for N in cfg.particles_list:
@@ -429,12 +452,12 @@ def test_runs_in_a_forked_child_never_fork_again(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("error", [NumericalFailure, ConfigError])
 def test_sweep_raises_a_worker_failure_with_its_type_and_message(monkeypatch, error):
-    def failing_run(cfg, side):
+    def failing_records(cfg, *args):
         if cfg.particles == 3:
             raise error("planted failure at N = 3")
-        return harness.RunResult(cfg, [], side)
+        return []
 
-    monkeypatch.setattr(harness, "run_simulation", failing_run)
+    monkeypatch.setattr(harness, "_records", failing_records)
     with pytest.raises(error) as info:
         sweep_N(make_config(**FAST, particles_list=(2, 3, 4)))
     assert type(info.value) is error and str(info.value) == "planted failure at N = 3"
@@ -449,14 +472,14 @@ def test_sweep_failure_drops_the_runs_still_waiting(tmp_path, monkeypatch):
         started = tmp_path / str(failing)
         started.mkdir()
 
-        def failing_run(cfg, side, started=started, failing=failing):
+        def failing_records(cfg, *args, started=started, failing=failing):
             (started / str(cfg.particles)).touch()
             if cfg.particles == failing:
                 raise NumericalFailure(f"planted failure at N = {failing}")
             time.sleep(0.15)
-            return harness.RunResult(cfg, [], side)
+            return []
 
-        monkeypatch.setattr(harness, "run_simulation", failing_run)
+        monkeypatch.setattr(harness, "_records", failing_records)
         with pytest.raises(NumericalFailure, match=f"planted failure at N = {failing}"):
             sweep_N(make_config(**FAST, particles_list=tuple(range(2, 10))))
         Ns = {int(path.name) for path in started.iterdir()}
@@ -469,12 +492,12 @@ def test_sweep_worker_killed_mid_sweep_raises_instead_of_dropping_its_runs(monke
         pytest.skip("the sweep runs in this process")
     test_pid = os.getpid()
 
-    def dying_run(cfg, side):
+    def dying_records(cfg, *args):
         if cfg.particles == 3 and os.getpid() != test_pid:
             os.kill(os.getpid(), signal.SIGKILL)
-        return harness.RunResult(cfg, [], side)
+        return []
 
-    monkeypatch.setattr(harness, "run_simulation", dying_run)
+    monkeypatch.setattr(harness, "_records", dying_records)
     with pytest.raises(RuntimeError, match="ended before its end mark"):
         sweep_N(make_config(**FAST, particles_list=(2, 3, 4)))
     assert no_child_left()
@@ -515,6 +538,23 @@ def test_run_with_a_killed_stepping_child_raises_instead_of_ending_early(monkeyp
     monkeypatch.setattr(harness, "NBodyStepper", DyingStepper)
     with pytest.raises(RuntimeError, match="ended before its end mark"):
         run_simulation(make_config(**FAST))
+    assert no_child_left()
+
+
+def test_run_whose_fork_fails_raises_it_and_closes_the_pipe(monkeypatch):
+    if not runs_would_fork():
+        pytest.skip("the run steps in this process")
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to count this process's open files in")
+
+    def failing_fork():
+        raise OSError(errno.EAGAIN, "planted fork failure")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(OSError, match="planted fork failure"):
+        run_simulation(make_config(**FAST))
+    assert len(os.listdir("/proc/self/fd")) == before
     assert no_child_left()
 
 
@@ -998,6 +1038,48 @@ def test_cli_refuses_out_into_a_missing_directory_before_the_run(
         assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert not (tmp_path / "missing").exists()
     assert not any(existing.iterdir())
+
+
+@pytest.mark.parametrize("command", ["simulate", "eta-curve"])
+def test_cli_reports_a_failed_write_after_the_run_in_one_line(
+    command, tmp_path, monkeypatch, capsys
+):
+    # a full disk shows only when the records are written, after the run
+    def full_disk(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr("mfdyn.cli.open", full_disk, raising=False)
+    out = tmp_path / "x.csv"
+    argv = [f"--{key}={value}" for key, value in FAST.items()]
+    if command == "eta-curve":
+        argv = ["--p-grid", "3/2"]
+    assert main([command, *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        ("lattice_problem", ""),  # the record-step list of --tfinal 1e9
+        # the Hartree flow array of --tfinal 1e6
+        ("evolve_hartree", "Unable to allocate 119. GiB for an array with shape "
+                           "(1000000001, 8) and data type complex128"),
+    ],
+)
+@pytest.mark.filterwarnings("error")
+def test_cli_reports_a_run_too_large_for_memory_in_one_line(
+    where, message, monkeypatch, capsys
+):
+    # the allocation is planted: a real one this size would take the machine
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(harness, where, out_of_memory)
+    argv = [f"--{key}={value}" for key, value in FAST.items()]
+    assert main(["simulate", *argv]) == 1
+    assert capsys.readouterr().err == f"error: {message or 'out of memory'}\n"
+    assert no_child_left()
 
 
 def test_cli_help_names_every_spec_kind(capsys):
