@@ -158,6 +158,8 @@ def cmd_eta_curve(args) -> int:
         raise ConfigError(f"dim: {exc}") from None
     try:
         ps = [Fraction(s) for s in comma_fields(args.p_grid, "p-grid")]
+        if not ps:
+            raise ValueError("no p values")
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"p-grid: {exc}") from None
     _check_out(args.out or "")

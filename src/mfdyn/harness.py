@@ -355,20 +355,28 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     if cfg.particles_list:
         raise ConfigError("--particles-list belongs to `mfdyn sweep`; a run takes one N")
     problem = lattice_problem(cfg)
-    basis, H, snapshots = _nbody_side(cfg, problem)
+    measure, snapshots = _nbody_side(cfg, problem)
     with _in_child(snapshots) as states:
         side = hartree_side(cfg, problem)
-        records = _records(cfg, basis, H, side, states)
+        records = _records(cfg, side, measure, states)
     return RunResult(cfg, records, side)
 
 
 def _nbody_side(cfg: RunConfig, problem: LatticeProblem):
-    """The basis and H_N of `cfg`'s N, and the unstarted stream of Psi's
-    amplitudes at the record steps, from the product state of phi_0."""
+    """The lab route of `cfg`'s N: `measure(amps, phi)`, which reads Psi's
+    gamma1, gamma2 (None at N = 1), occupation weights and (E^Psi, E^phi) at
+    phi, and the unstarted stream of Psi's amplitudes at the record steps."""
     basis = enumerate_basis(cfg.sites, cfg.particles)
     H = build_HN(problem.h, problem.w, basis)
     psi0 = product_state(problem.phi0, basis).amps
-    return basis, H, _snapshots(H, psi0, cfg, problem.record_steps)
+
+    def measure(amps: np.ndarray, phi: Orbital):
+        state = ManyBodyState(basis, amps)
+        g1, g2 = gamma1(state), gamma2(state) if cfg.particles >= 2 else None
+        wd = occupation_weights(state, phi)
+        return g1, g2, wd, energies(state, H, phi, problem.h, problem.w)
+
+    return measure, _snapshots(H, psi0, cfg, problem.record_steps)
 
 
 def _snapshots(H, amps: np.ndarray, cfg: RunConfig, record_steps: list):
@@ -382,33 +390,23 @@ def _snapshots(H, amps: np.ndarray, cfg: RunConfig, record_steps: list):
         yield amps
 
 
-def _records(cfg: RunConfig, basis, H, side: HartreeSide, snapshots) -> list:
-    """One record per snapshot of Psi, against the Hartree side at its step."""
+def _records(cfg: RunConfig, side: HartreeSide, measure, snapshots) -> list:
+    """One record per snapshot of Psi, judged against the Hartree side at its step."""
     N = cfg.particles
-    h, w = side.problem.h, side.problem.w
     eta = float(cfg.eta)
     records: list[TimeRecord] = []
     for amps, k, phi_t, phi_env, ptil in zip(
         snapshots, side.problem.record_steps, side.orbitals, side.phi_ts, side.phi_tildes
     ):
         t = k * cfg.dt
-        state = ManyBodyState(basis, amps)
-        g1 = gamma1(state)
-        e1 = E_k(g1, phi_t)
-        r1 = R_k(g1, phi_t)
-        if N >= 2:
-            g2 = gamma2(state)
-            e2 = E_k(g2, phi_t)
-            r2 = R_k(g2, phi_t)
-        else:
-            e2 = r2 = 0.0
-        wd = occupation_weights(state, phi_t)
-        alpha = alpha_of(wd)
-        beta = beta_of(wd)
+        g1, g2, wd, (e_psi, e_phi) = measure(amps, phi_t)
+        e1, r1 = E_k(g1, phi_t), R_k(g1, phi_t)
+        alpha, beta = alpha_of(wd), beta_of(wd)
         _check_identity("alpha = E1", alpha, e1, t)
-        if N >= 2:
+        e2 = r2 = 0.0
+        if g2 is not None:
+            e2, r2 = E_k(g2, phi_t), R_k(g2, phi_t)
             _check_identity("E2 = 1 - sum_k w_k C(N-k,2)/C(N,2)", pair_depletion_of(wd), e2, t)
-        e_psi, e_phi = energies(state, H, phi_t, h, w)
         if k == 0:
             alpha0, beta0, gap = alpha, beta, e_psi - e_phi
         a_bound = gronwall_alpha_bound(alpha0, N, phi_env)
@@ -575,8 +573,8 @@ def _sweep_worker(jobs: int, configs: dict, side: HartreeSide):
     try:
         while job := os.read(jobs, 4):
             N = int.from_bytes(job, "little")
-            basis, H, snapshots = _nbody_side(configs[N], side.problem)
-            done.append((N, _records(configs[N], basis, H, side, snapshots)))
+            measure, snapshots = _nbody_side(configs[N], side.problem)
+            done.append((N, _records(configs[N], side, measure, snapshots)))
     except BaseException:
         os.read(jobs, 4 * len(configs))
         raise

@@ -165,6 +165,36 @@ def test_records_use_hartree_orbital_of_their_step():
         assert r.phi_t == pytest.approx(want, rel=1e-14, abs=0)
 
 
+@pytest.mark.parametrize("N", [1, 3])
+def test_records_read_psi_only_through_measure(N):
+    # Record a run's measurements, then judge them again from placeholder
+    # snapshots: the records must come out byte for byte the same.
+    cfg = make_config(**{**FAST, "particles": N})
+    problem = lattice_problem(cfg)
+    side = harness.hartree_side(cfg, problem)
+    measure, snapshots = harness._nbody_side(cfg, problem)
+    measured = []
+
+    def recording(amps, phi):
+        measured.append((phi, measure(amps, phi)))
+        return measured[-1][1]
+
+    records = harness._records(cfg, side, recording, snapshots)
+    assert records_csv(records) == records_csv(run_simulation(cfg).records)
+    assert [g2 is None for _, (_, g2, _, _) in measured] == [N == 1] * len(records)
+    placeholders = [object() for _ in problem.record_steps]
+    replay = iter(zip(placeholders, measured))
+
+    def replaying(amps, phi):
+        placeholder, (seen_phi, values) = next(replay)
+        assert amps is placeholder and phi is seen_phi
+        return values
+
+    replayed = harness._records(cfg, side, replaying, placeholders)
+    assert next(replay, None) is None
+    assert records_csv(replayed) == records_csv(records)
+
+
 def test_csv_roundtrip_and_determinism(tmp_path):
     cfg = make_config(**FAST)
     res1 = run_simulation(cfg)
@@ -309,7 +339,8 @@ def test_sweep_workers_run_one_blas_thread_and_the_parent_keeps_one_after(
     pinned = {"numpy": 1, "scipy": before["scipy"]}  # scipy's is left as it was
     assert pool_sizes() == pinned
     reports = [json.loads((tmp_path / f"{N}.json").read_text()) for N in (2, 3, 4)]
-    assert all(r["pid"] != os.getpid() for r in reports)
+    # on one usable core the workers run in this process, by design
+    assert all((r["pid"] != os.getpid()) == runs_would_fork() for r in reports)
     assert [r["blas"] for r in reports] == [pinned] * 3
 
 
@@ -907,6 +938,7 @@ def test_cli_sweep_caps_only_the_N_it_runs(tmp_path):
         ["eta-curve", "--p-grid", "3/2,,2"],
         ["eta-curve", "--p-grid", "-3/2,,2"],
         ["eta-curve", "--p-grid", ","],
+        ["eta-curve", "--p-grid", ""],
     ],
 )
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
@@ -936,6 +968,7 @@ def test_cli_malformed_input_exits_1(argv, tmp_path, capsys):
         "3/2,,2": "p-grid: empty field",
         "-3/2,,2": "p-grid: empty field",
         ",": "p-grid: empty field",
+        "": "p-grid: no p values",
     }
     names = dict(bad_cfg=bad_cfg, method_cfg=method_cfg, binary_cfg=binary_cfg, tmp_path=tmp_path)
     rc = main([a.format(**names) for a in argv])
