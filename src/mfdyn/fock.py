@@ -25,9 +25,9 @@ BASIS_CAP = 200_000
 class OccupationBasis:
     """All occupation vectors of N bosons on M sites, first site descending.
 
-    Data derived from the basis (rank table, lowering maps, CSR pattern
-    of one-body operators) is kept in `_cache`, so it lives exactly as long
-    as the basis.
+    Data derived from the basis (rank table, lowering maps, the all-pairs
+    CSR pattern of the weights' dGamma(q)) is kept in `_cache`, so it lives
+    exactly as long as the basis.
     """
 
     sites: int
@@ -130,65 +130,79 @@ def annihilate(
     return coef * amps[..., rows], sub
 
 
-def _onebody_pattern(basis: OccupationBasis):
-    """Static CSR data for dGamma(A) = sum_ij A_ij a_i^dag a_j.
+def _hop_layout(basis: OccupationBasis, i: np.ndarray, j: np.ndarray, diag: np.ndarray):
+    """CSR layout of the hops of the site pairs (i, j), i != j, and of
+    diagonal entries in the rows `diag`.
 
-    For every state t of the N-1 sector and ordered pair i != j there is a
-    hop from t + e_j to t + e_i with amplitude sqrt((t_i + 1)(t_j + 1)).
-    Returns `indptr` and `indices` of all hops plus the diagonal in
-    canonical order; per CSR entry the flat index i*M + j and the amplitude
-    of its hop (0 and 0.0 on the diagonal); and the CSR position of every
-    diagonal entry. One stable sort of the (row, column) keys yields the
-    ordering.
+    For every state t of the N-1 sector a pair's hop goes from t + e_j to
+    t + e_i with amplitude sqrt((t_i + 1)(t_j + 1)). Returns `indptr` and
+    `indices` in canonical order; the permutation `entry` that takes the
+    hops, pair by pair, and then the diagonal entries to CSR order, from
+    one stable sort of the (row, column) keys; and per hop, in that pair
+    order, the flat index i*M + j and the amplitude.
+    """
+    sub, rows, _ = _lowering_map(basis, 1)
+    up = sub.states.T + 1
+    row = np.concatenate([rows[i].ravel(), diag])
+    col = np.concatenate([rows[j].ravel(), diag])
+    entry = np.argsort(row * basis.dim + col, kind="stable")  # i != j: no two keys are equal
+    indptr = np.zeros(basis.dim + 1, dtype=np.int32)
+    np.cumsum(np.bincount(row, minlength=basis.dim), out=indptr[1:])
+    ij = np.repeat(i * basis.sites + j, sub.dim)
+    return indptr, col[entry].astype(np.int32), entry, ij, np.sqrt(up[i] * up[j]).ravel()
+
+
+def _onebody_pattern(basis: OccupationBasis):
+    """Static CSR data for dGamma(A) = sum_ij A_ij a_i^dag a_j with any A:
+    the layout of every ordered pair i != j and of the whole diagonal.
+
+    Returns `indptr` and `indices`; per CSR entry the flat index i*M + j
+    and the amplitude of its hop (0 and 0.0 on the diagonal); and the CSR
+    position of every diagonal entry. It holds M(M-1) hops per state of the
+    N-1 sector and serves the dense dGamma(q) of the sector weights alone;
+    H_N lays out only the hops h has.
     """
     if "pattern" not in basis._cache:
-        sub, rows, _ = _lowering_map(basis, 1)
-        M, dim = basis.sites, basis.dim
-        i, j = np.nonzero(~np.eye(M, dtype=bool))
-        up = sub.states.T + 1
-        diag = np.arange(dim)
-        n_hops = i.size * sub.dim
-        row = np.concatenate([rows[i].ravel(), diag])
-        col = np.concatenate([rows[j].ravel(), diag])
-        entry = np.argsort(row * dim + col, kind="stable")  # i != j: no two keys are equal
-        indptr = np.zeros(dim + 1, dtype=np.int32)
-        np.cumsum(np.bincount(row, minlength=dim), out=indptr[1:])
-        indices = col[entry].astype(np.int32)
+        dim = basis.dim
+        i, j = np.nonzero(~np.eye(basis.sites, dtype=bool))
+        indptr, indices, entry, ij, amps = _hop_layout(basis, i, j, np.arange(dim))
         for a in (indptr, indices):
             a.flags.writeable = False  # shared by every operator built on them
         basis._cache["pattern"] = (
             indptr,
             indices,
-            np.concatenate([np.repeat(i * M + j, sub.dim), np.zeros(dim, dtype=np.intp)])[entry],
-            np.concatenate([np.sqrt(up[i] * up[j]).ravel(), np.zeros(dim)])[entry],
-            np.flatnonzero(entry >= n_hops),
+            np.concatenate([ij, np.zeros(dim, dtype=np.intp)])[entry],
+            np.concatenate([amps, np.zeros(dim)])[entry],
+            np.flatnonzero(entry >= ij.size),
         )
     return basis._cache["pattern"]
 
 
-def second_quantize_onebody(
-    A: np.ndarray, basis: OccupationBasis, extra_diag=None
-) -> sp.csr_matrix:
-    """dGamma(A) = sum_ij A_ij a_i^dag a_j on the occupation basis, plus
-    `extra_diag` on the diagonal when given.
-
-    The values are filled into the basis's cached CSR pattern. Entries that
-    come out zero are dropped and -0.0 parts become +0.0, so the result
-    equals, bit for bit, the sparse sum of the hop matrix and the diagonals.
-    Hop amplitudes are at least 1, so a hop is zero exactly where its
-    entry of A is: zeros are looked for on A and the diagonal, and only
-    then does `eliminate_zeros` run, on a copy of the shared pattern.
-    """
+def _complex_operator(A, basis: OccupationBasis) -> np.ndarray:
+    """A one-body operator as a complex M x M array; another shape is refused."""
     A = np.asarray(A)
     if A.shape != (basis.sites, basis.sites):
         raise ConfigError(
             f"operator shape {A.shape} does not match M={basis.sites}"
         )
+    return A.astype(complex)
+
+
+def second_quantize_onebody(A: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:
+    """dGamma(A) = sum_ij A_ij a_i^dag a_j on the occupation basis.
+
+    The values are filled into the basis's cached all-pairs CSR pattern.
+    Entries that come out zero are dropped and -0.0 parts become +0.0, so
+    the result equals, bit for bit, the sparse sum of the hop matrix and
+    the diagonal. Hop amplitudes are at least 1, so a hop is zero exactly
+    where its entry of A is: zeros are looked for on A and the diagonal,
+    and only then does `eliminate_zeros` run, on a copy of the shared
+    pattern.
+    """
+    A = _complex_operator(A, basis)
     indptr, indices, ij, amps, diag_pos = _onebody_pattern(basis)
-    diag = basis.states.astype(complex) @ np.diag(A).astype(complex)
-    if extra_diag is not None:
-        diag += extra_diag
-    flat = A.astype(complex).ravel()
+    diag = basis.states.astype(complex) @ np.diag(A)
+    flat = A.ravel()
     data = flat.take(ij)
     data *= amps
     data[diag_pos] = diag
@@ -211,10 +225,25 @@ def interaction_diagonal(w: LatticeField, basis: OccupationBasis) -> np.ndarray:
 
 
 def build_HN(h: np.ndarray, w: LatticeField, basis: OccupationBasis) -> sp.csr_matrix:
-    """H_N = dGamma(h) + (1/N) * pair interaction, as one CSR; N >= 1."""
+    """H_N = dGamma(h) + (1/N) * pair interaction, as one CSR; N >= 1.
+
+    Only the hops of h's nonzero off-diagonal entries and the nonzero
+    entries of the summed diagonal are laid out, in the order of the
+    all-pairs pattern, so the CSR is, byte for byte, dGamma(h) filled into
+    that pattern with its zeros dropped, plus the pair term.
+    """
+    h = _complex_operator(h, basis)
+    diag = basis.states.astype(complex) @ np.diag(h)
     # times 1/N, not / N: the scalar division of a sparse matrix did this
-    pair = interaction_diagonal(w, basis).astype(complex) * (1 / basis.particles)
-    return second_quantize_onebody(h, basis, pair)
+    diag += interaction_diagonal(w, basis).astype(complex) * (1 / basis.particles)
+    keep = np.flatnonzero(diag)
+    i, j = np.nonzero((h != 0) & ~np.eye(basis.sites, dtype=bool))
+    indptr, indices, entry, ij, amps = _hop_layout(basis, i, j, keep)
+    hops = h.ravel().take(ij)
+    hops *= amps
+    data = np.concatenate([hops, diag[keep]])[entry]
+    data += 0.0
+    return sp.csr_matrix((data, indices, indptr), shape=(basis.dim, basis.dim))
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,7 +21,7 @@ from mfdyn.fock import (
     second_quantize_onebody,
 )
 from mfdyn.lattice import Grid, LatticeField, sample_interaction
-from mfdyn.onebody import Orbital, build_h, condensate_projectors
+from mfdyn.onebody import Orbital, build_h, condensate_projectors, harmonic_potential
 
 from conftest import random_orbital
 
@@ -93,8 +93,8 @@ def sparse_sum_route(A, basis, pair=None):
     t = enumerate_basis(M, N - 1).states
     i, j = np.nonzero(~np.eye(M, dtype=bool))
     e = np.eye(M, dtype=np.int64)
-    rows = basis.rank(t[None] + e[i][:, None]).ravel()
-    cols = basis.rank(t[None] + e[j][:, None]).ravel()
+    raised = basis.rank(t[None] + e[:, None])  # row of t + e_x, per site x
+    rows, cols = raised[i].ravel(), raised[j].ravel()
     hops = (A[i, j][:, None] * np.sqrt((t.T[i] + 1) * (t.T[j] + 1))).ravel()
     H = sp.coo_matrix((hops.astype(complex), (rows, cols)), shape=(basis.dim,) * 2).tocsr()
     H = H + sp.diags(basis.states.astype(complex) @ np.diag(A).astype(complex))
@@ -139,6 +139,28 @@ def test_csr_fill_is_bit_identical_to_sparse_sum(rng, M, N):
             assert dh.nnz < n_entries
 
 
+@pytest.mark.parametrize("M,N", [(2, 5), (5, 1), (8, 9), (32, 3)])
+def test_HN_from_the_hops_of_h_is_bit_identical_to_sparse_sum(rng, M, N):
+    # At M = 2 both ring neighbours of a site are one site.
+    grid = Grid(M, 0.7)
+    basis = enumerate_basis(M, N)
+    trap = build_h(grid, harmonic_potential(grid, 1.3))
+    signed = trap.astype(complex)
+    signed.imag[:] = -0.0  # -0.0 imaginary parts, stored as +0.0
+    # a uniform potential of -2/dx^2 zeroes h's diagonal
+    flat = build_h(grid, LatticeField(grid, np.full(M, -2.0 / grid.spacing**2)))
+    assert not np.diag(flat).any()
+    no_pair = sample_interaction(grid, "constant", c=0.0)
+    for h in (build_h(grid), trap, signed, flat):
+        for w in (no_pair, sample_interaction(grid, "random", seed=M)):
+            pair = interaction_diagonal(w, basis)
+            got = build_HN(h, w, basis)
+            assert_same_csr(got, sparse_sum_route(h, basis, pair), rng)
+            assert_same_csr(got, masked_fill(h, basis, pair.astype(complex) * (1 / N)), rng)
+    # with h's diagonal and w zero, every diagonal entry is zero and dropped
+    assert not build_HN(flat, no_pair, basis).diagonal().any()
+
+
 def coo_pattern(basis):
     """`_onebody_pattern` as scipy's COO->CSR conversion orders it: the
     entry numbers go in as data and come out as the permutation."""
@@ -147,8 +169,9 @@ def coo_pattern(basis):
     i, j = np.nonzero(~np.eye(M, dtype=bool))
     e = np.eye(M, dtype=np.int64)
     n_hops = i.size * len(t)
-    row = np.concatenate([basis.rank(t[None] + e[i][:, None]).ravel(), np.arange(dim)])
-    col = np.concatenate([basis.rank(t[None] + e[j][:, None]).ravel(), np.arange(dim)])
+    raised = basis.rank(t[None] + e[:, None])  # row of t + e_x, per site x
+    row = np.concatenate([raised[i].ravel(), np.arange(dim)])
+    col = np.concatenate([raised[j].ravel(), np.arange(dim)])
     order = sp.coo_matrix((np.arange(n_hops + dim), (row, col)), shape=(dim, dim)).tocsr()
     entry = order.data
     ij = np.concatenate([np.repeat(i * M + j, len(t)), np.zeros(dim, dtype=np.intp)])
@@ -199,11 +222,8 @@ def test_fill_finds_zeros_as_the_masked_fill_does(rng, N):
     signed.imag[:] = -0.0  # -0.0 imaginary parts, stored as +0.0
     real = -np.abs(A.real)
     real[4, 0] = -0.0
-    pair = rng.normal(size=basis.dim)
     for B in (A, with_zeros, signed, real, np.zeros((M, M))):
-        for extra in (None, pair, -(basis.states @ np.diag(B)).astype(complex)):
-            got = second_quantize_onebody(B, basis, extra)
-            assert_same_csr(got, masked_fill(B, basis, extra), rng)
+        assert_same_csr(second_quantize_onebody(B, basis), masked_fill(B, basis), rng)
     grid = Grid(M, 0.7)
     h, w = build_h(grid), sample_interaction(grid, "random", seed=N)
     pair = interaction_diagonal(w, basis).astype(complex) * (1 / N)

@@ -176,13 +176,17 @@ def test_pair_modes_are_made_once_and_read_only(rng, grid6, k):
     for _ in range(2):
         assert E_k(g, phi) == ek
         assert R_k(g, phi) == rk
-    # H_N's hop pattern, gamma1 and gamma2 keep one lowering map per k on
-    # the basis, and the map k is made once
+    # H_N's hops, gamma1 and gamma2 keep one lowering map per k on the
+    # basis, and the map k is made once. H_N lays out only the hops h has:
+    # the all-pairs pattern is made for the weights' dGamma(q) alone.
     basis = psi.basis
-    build_HN(build_h(grid6), sample_interaction(grid6, "gaussian", lam=1.0, sigma=1.0), basis)
+    HN = build_HN(build_h(grid6), sample_interaction(grid6, "gaussian", lam=1.0, sigma=1.0), basis)
+    assert HN.nnz <= 2 * 6 * enumerate_basis(6, 2).dim + basis.dim
     lowered = basis._cache[("lower", k)]
     gamma1(psi), gamma2(psi)
     assert basis._cache[("lower", k)] is lowered
+    assert set(basis._cache) == {"rank", ("lower", 1), ("lower", 2)}
+    occupation_weights(psi, phi)
     assert set(basis._cache) == {"rank", "pattern", ("lower", 1), ("lower", 2)}
     with pytest.raises(ConfigError):
         gamma(psi, 4)  # k > N
