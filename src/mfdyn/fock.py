@@ -46,17 +46,28 @@ class OccupationBasis:
         C(S + M-p-2, M-p-1) vectors that agree with it up to site p-1 and
         hold more at site p; the rank is the sum of these counts.
         """
-        M, N = self.sites, self.particles
+        return self._rank_table()[np.arange(self.sites - 1), _suffix_counts(occ)].sum(axis=-1)
+
+    def _rank_table(self) -> np.ndarray:
+        """table[p, S] = C(S + M-p-2, M-p-1) for p < M-1 and S <= N."""
         if "rank" not in self._cache:
+            M, N = self.sites, self.particles
             table = [
                 math.comb(S + M - p - 2, M - p - 1) for p in range(M - 1) for S in range(N + 1)
             ]
             self._cache["rank"] = np.array(table, dtype=np.int64).reshape(M - 1, N + 1)
-        right = np.cumsum(np.asarray(occ)[..., :0:-1], axis=-1)[..., ::-1]
-        return self._cache["rank"][np.arange(M - 1), right].sum(axis=-1)
+        return self._cache["rank"]
+
+
+def _suffix_counts(occ) -> np.ndarray:
+    """The particles right of each site p < M-1: (..., M) -> (..., M-1)."""
+    return np.cumsum(np.asarray(occ)[..., :0:-1], axis=-1)[..., ::-1]
 
 
 def enumerate_basis(M: int, N: int) -> OccupationBasis:
+    """All occupation vectors of N bosons on M sites, first site descending,
+    as a (dim, M) int64 array counted from the sorted sites of the N
+    particles; more than `BASIS_CAP` states are refused."""
     if M < 1 or N < 0:
         raise ConfigError(f"need M >= 1 sites and N >= 0 particles, got M={M}, N={N}")
     dim = math.comb(N + M - 1, N)
@@ -64,16 +75,15 @@ def enumerate_basis(M: int, N: int) -> OccupationBasis:
         raise ConfigError(
             f"occupation basis for M={M}, N={N} has {dim} states, above the cap {BASIS_CAP}"
         )
-    # Stars and bars: n_x is the gap between bars x-1 and x among N+M-1
-    # slots. Combinations of bar positions come first-site ascending.
-    edges = np.empty((dim, M + 1), dtype=np.int64)
-    edges[:, 0], edges[:, -1] = -1, N + M - 1
-    edges[:, 1:-1] = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(N + M - 1), M - 1)),
+    # The sorted sites of the N particles, in lexicographic order, give the
+    # occupation vectors first-site descending; one bincount counts them.
+    sites = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations_with_replacement(range(M), N)),
         dtype=np.int64,
-        count=dim * (M - 1),
-    ).reshape(dim, M - 1)[::-1]
-    return OccupationBasis(M, N, np.diff(edges, axis=1) - 1)
+        count=dim * N,
+    ).reshape(dim, N)
+    sites += np.arange(0, dim * M, M)[:, None]
+    return OccupationBasis(M, N, np.bincount(sites.ravel(), minlength=dim * M).reshape(dim, M))
 
 
 @functools.cache
@@ -91,7 +101,8 @@ def _lowering_map(basis: OccupationBasis, k: int):
     """The N-k basis, and for every mode m of `k_basis(M, k)` and state t of
     the N-k basis the row of t + m in `basis` with the amplitude
     sqrt(prod_x (t_x + m_x)! / t_x!) of a^m = prod_x a_x^(m_x), times the
-    mode's weight sqrt(k! / prod_x m_x!)."""
+    mode's weight sqrt(k! / prod_x m_x!). The rows come from range sums, see
+    `_raised_rows`."""
     key = ("lower", k)
     if key not in basis._cache:
         if basis.particles < k:
@@ -102,15 +113,42 @@ def _lowering_map(basis: OccupationBasis, k: int):
         # row i holds the i-th site of every mode, x_1 <= ... <= x_k
         sites = np.repeat(np.tile(np.arange(basis.sites), kb.dim), kb.states.ravel())
         raised = np.zeros((kb.dim, basis.sites), dtype=np.int64)
-        count = np.ones((kb.dim, sub.dim), dtype=np.int64)  # under the sqrt
+        # under the sqrt, at most N!/(N-k)!: in int64 while that fits
+        fits = math.perm(basis.particles, k) < 2**63
+        count = np.ones((kb.dim, sub.dim), dtype=np.int64 if fits else object)
         for x in sites.reshape(kb.dim, k).T:
             raised[modes, x] += 1
             count *= sub.states.T[x] + raised[modes, x][:, None]
-        rows = np.stack([basis.rank(sub.states + r) for r in kb.states])
-        coef = np.sqrt(count)
+        rows = _raised_rows(basis, sub, kb)
+        coef = np.sqrt(count if fits else count.astype(float))
         coef *= _sqrt_multinomial(kb)[:, None]  # in place: a temporary here raised peak RSS
         basis._cache[key] = (sub, rows, coef)
     return basis._cache[key]
+
+
+def _raised_rows(basis: OccupationBasis, sub: OccupationBasis, kb: OccupationBasis):
+    """rows[m, t] = basis.rank(sub.states[t] + kb.states[m]), in integers.
+
+    The suffix counts of t + m are those of t plus those of m, and a mode's
+    own are a non-increasing step in p with values c in 0..k. So its row is,
+    for each c, the sum of table[p, R_p(t) + c] over the sites p where m
+    has c particles to the right: one range sum of a column prefix-summed
+    over p, k+1 columns in all.
+    """
+    levels = np.arange(kb.particles + 1)
+    # terms[c, t, p] = table[p, R_p(t) + c], summed over p from the left
+    flat = _suffix_counts(sub.states) + np.arange(basis.sites - 1) * (basis.particles + 1)
+    terms = basis._rank_table().ravel().take(flat + levels[:, None, None])
+    prefix = np.zeros((levels.size, sub.dim, basis.sites), dtype=np.int64)
+    np.cumsum(terms, axis=2, out=prefix[..., 1:])
+    prefix = prefix.transpose(0, 2, 1).copy()
+    # level c holds the sites p in [ends[c+1], ends[c]) of every mode
+    ends = (_suffix_counts(kb.states)[:, :, None] >= np.append(levels, levels.size)).sum(axis=1)
+    rows = np.zeros((kb.dim, sub.dim), dtype=np.int64)
+    for c in levels:
+        rows += prefix[c, ends[:, c]]
+        rows -= prefix[c, ends[:, c + 1]]
+    return rows
 
 
 def annihilate(
@@ -263,21 +301,33 @@ class ManyBodyState:
 
 
 def product_state(phi: Orbital, basis: OccupationBasis) -> ManyBodyState:
-    """phi^(x) N: amplitude sqrt(N!/prod n!) * prod (sqrt(dx) phi(x))^n_x."""
+    """phi^(x) N: amplitude sqrt(N!/prod n!) * prod (sqrt(dx) phi(x))^n_x.
+
+    Each site's powers mode[x]**n, n = 0..N, are taken once and gathered by
+    the occupations."""
     if basis.sites != phi.grid.sites:
         raise ConfigError("orbital and basis have different site counts")
+    powers = phi.mode[:, None] ** np.arange(basis.particles + 1)
     # np.prod(..., axis=1) without its Python wrapper: E_k and R_k call this per record
-    amps = np.multiply.reduce(phi.mode**basis.states, 1)
+    amps = np.multiply.reduce(powers[np.arange(basis.sites), basis.states], 1)
     return ManyBodyState(basis, _sqrt_multinomial(basis) * amps)
 
 
 def _sqrt_multinomial(basis: OccupationBasis) -> np.ndarray:
-    """sqrt(N!/prod n!) per state, exact in Python ints before the sqrt;
-    made once per basis and read-only."""
+    """sqrt(N!/prod n!) per state, the multinomial exact in integers before
+    the sqrt: int64 while N! fits, Python ints beyond. Made once per basis
+    and read-only; a multinomial above the float range is refused."""
     if "multinomial" not in basis._cache:
-        N = basis.particles
-        fact = np.array([math.factorial(n) for n in range(N + 1)], dtype=object)
-        coef = np.sqrt((math.factorial(N) // fact[basis.states].prod(axis=-1)).astype(float))
+        M, N = basis.sites, basis.particles
+        fact = [math.factorial(n) for n in range(N + 1)]
+        fact = np.array(fact, dtype=np.int64 if fact[N] < 2**63 else object)
+        try:
+            count = (fact[N] // np.multiply.reduce(fact[basis.states], -1)).astype(float)
+        except OverflowError:
+            raise ConfigError(
+                f"multinomials N!/prod n! for M={M}, N={N} exceed the float range"
+            ) from None
+        coef = np.sqrt(count)
         coef.flags.writeable = False
         basis._cache["multinomial"] = coef
     return basis._cache["multinomial"]

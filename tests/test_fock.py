@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from mfdyn.checks import dense_oracle, occupation_to_tensor_isometry, symmetrize
 from mfdyn.errors import ConfigError
 from mfdyn.fock import (
     ManyBodyState,
+    _lowering_map,
     _onebody_pattern,
     _sqrt_multinomial,
     annihilate,
@@ -20,7 +22,13 @@ from mfdyn.fock import (
     product_state,
     second_quantize_onebody,
 )
-from mfdyn.lattice import Grid, LatticeField, sample_interaction
+from mfdyn.lattice import (
+    INTERACTIONS,
+    Grid,
+    LatticeField,
+    convolution_kernel_matrix,
+    sample_interaction,
+)
 from mfdyn.onebody import Orbital, build_h, condensate_projectors, harmonic_potential
 
 from conftest import random_orbital
@@ -49,6 +57,107 @@ def test_basis_cap_and_validation():
         enumerate_basis(30, 30)  # far above the state cap
     with pytest.raises(ConfigError):
         enumerate_basis(0, 2)
+
+
+def stars_and_bars(M, N):
+    """The enumeration the sorted-sites count replaced: n_x is the gap
+    between bars x-1 and x among N+M-1 slots; combinations of bar positions
+    come first-site ascending, so they are reversed."""
+    dim = math.comb(N + M - 1, N)
+    edges = np.empty((dim, M + 1), dtype=np.int64)
+    edges[:, 0], edges[:, -1] = -1, N + M - 1
+    edges[:, 1:-1] = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(N + M - 1), M - 1)),
+        dtype=np.int64,
+        count=dim * (M - 1),
+    ).reshape(dim, M - 1)[::-1]
+    return np.diff(edges, axis=1) - 1
+
+
+def object_int_sqrt_multinomial(states, N):
+    """sqrt(N!/prod n!) with the multinomial in Python ints throughout."""
+    fact = np.array([math.factorial(n) for n in range(N + 1)], dtype=object)
+    return np.sqrt((math.factorial(N) // fact[states].prod(axis=-1)).astype(float))
+
+
+def per_mode_lowering_map(basis, k):
+    """The k-particle lowering map with one `rank` call per mode for its
+    rows, and the amplitudes sqrt(prod_x (t_x + m_x)!/t_x!) in Python ints."""
+    M, N = basis.sites, basis.particles
+    modes = stars_and_bars(M, k)
+    sub = stars_and_bars(M, N - k)
+    rows = np.stack([basis.rank(sub + m) for m in modes])
+    perm = [[math.perm(t + n, n) for n in range(k + 1)] for t in range(N - k + 1)]
+    perm = np.array(perm, dtype=object)
+    count = perm[sub[None], modes[:, None]].prod(axis=-1)
+    coef = np.sqrt(count.astype(float)) * object_int_sqrt_multinomial(modes, k)[:, None]
+    return sub, rows, coef
+
+
+def assert_same_array(got, want, what):
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    assert got.tobytes() == want.tobytes(), what
+
+
+SHAPES = [
+    (1, 0), (1, 3), (5, 0), (2, 1), (2, 6), (2, 20), (2, 21), (3, 9), (4, 5), (8, 6), (3, 40),
+    (12, 6), (32, 3),
+]
+
+
+@pytest.mark.parametrize("M,N", SHAPES)
+def test_basis_and_multinomials_are_bit_identical_to_the_references(M, N):
+    # N = 20 is the last N whose N! fits in int64; N = 21 takes Python ints
+    basis = enumerate_basis(M, N)
+    assert_same_array(basis.states, stars_and_bars(M, N), "states")
+    assert basis.states.flags.c_contiguous
+    coef = _sqrt_multinomial(basis)
+    assert_same_array(coef, object_int_sqrt_multinomial(basis.states, N), "multinomial")
+    assert not coef.flags.writeable
+    kb = k_basis(M, N)
+    assert_same_array(kb.states, basis.states, "k_basis")
+    assert not kb.states.flags.writeable and not _sqrt_multinomial(kb).flags.writeable
+
+
+@pytest.mark.parametrize("M,N", [s for s in SHAPES if s != (3, 40)] + [(3, 25)])
+def test_lowering_maps_are_bit_identical_to_per_mode_ranks(M, N):
+    # every k <= N; at M = 2 both ring neighbours of a site are one site.
+    # N!/(N-k)! >= 2^63 at (2, 21), k = 21 and at (3, 25), k >= 16: there
+    # the amplitudes are Python ints (slow, so (3, 40) is left to the
+    # basis and multinomial test).
+    basis = enumerate_basis(M, N)
+    for k in range(N + 1):
+        sub, rows, coef = _lowering_map(basis, k)
+        want_sub, want_rows, want_coef = per_mode_lowering_map(basis, k)
+        assert sub.particles == N - k
+        assert_same_array(sub.states, want_sub, ("sub", k))
+        assert_same_array(rows, want_rows, ("rows", k))
+        assert_same_array(coef, want_coef, ("coef", k))
+
+
+@pytest.mark.parametrize(
+    "M,N", [(2, 0), (2, 6), (2, 21), (5, 0), (3, 40), (8, 6), (12, 6), (32, 3)]
+)
+def test_product_state_is_bit_identical_to_the_power_of_every_entry(rng, M, N):
+    grid = Grid(M, 0.7)
+    basis = enumerate_basis(M, N)
+    vals = rng.normal(size=M) + 1j * rng.normal(size=M)
+    holes = vals.copy()
+    holes[::2] = 0.0  # 0**0 = 1 on the sites a state leaves empty
+    for phi in (Orbital.normalized(grid, v) for v in (vals, holes, vals.real.astype(complex))):
+        want = object_int_sqrt_multinomial(basis.states, N)
+        want = want * np.multiply.reduce(phi.mode**basis.states, 1)
+        assert_same_array(product_state(phi, basis).amps, want, "amps")
+
+
+def test_multinomials_above_the_float_range_are_refused():
+    grid = Grid(2, 1.0)
+    phi = Orbital.normalized(grid, np.ones(2, dtype=complex))
+    with pytest.raises(ConfigError, match=r"M=2, N=1030"):
+        product_state(phi, enumerate_basis(2, 1030))
+    psi = product_state(phi, enumerate_basis(2, 1020))
+    assert np.all(np.isfinite(psi.amps))
+    assert psi.norm == pytest.approx(1.0, abs=1e-9)
 
 
 def test_number_operator_is_N(rng):
@@ -237,6 +346,48 @@ def test_interaction_diagonal_two_particles_one_site():
     diag = interaction_diagonal(w, basis).real
     # states (2,0), (1,1), (0,2): one pair each, w = 3 everywhere
     assert np.allclose(diag, [3.0, 3.0, 3.0], atol=1e-12)
+
+
+def occupied_pair_sum(w, basis):
+    """`interaction_diagonal` as one sequential sum per state over its
+    occupied site pairs (x, y), x-major, of (n_x W_xy) n_y: einsum adds its
+    M^2 terms in that order, and the terms of empty sites are zeros that
+    leave the sum as it is."""
+    W = convolution_kernel_matrix(w)
+    occ = basis.states.astype(float)
+    slots = min(basis.sites, basis.particles)
+    # the occupied sites of each state, ascending, in its first slots
+    site = np.argsort(basis.states == 0, axis=1, kind="stable")[:, :slots]
+    n = np.take_along_axis(occ, site, axis=1)
+    total = np.zeros(basis.dim)
+    for a in range(slots):
+        for b in range(slots):
+            term = n[:, a] * W[site[:, a], site[:, b]] * n[:, b]
+            total = np.where((n[:, a] > 0) & (n[:, b] > 0), total + term, total)
+    return 0.5 * total - 0.5 * W[0, 0] * occ.sum(axis=1)
+
+
+KERNELS = {
+    "constant": [dict(c=0.0), dict(c=-2.0)],
+    "gaussian": [dict(lam=1.0, sigma=1.0)],
+    "softcoulomb": [dict(lam=0.7, eps=0.3)],
+    "invsquare": [dict(lam=1.0)],
+    "random": [dict(seed=3)],
+}
+
+
+@pytest.mark.parametrize("M,N", [(2, 1), (8, 6), (64, 3)])
+def test_interaction_diagonal_is_the_occupied_pair_sum(M, N):
+    # Pins the bytes of the einsum. The pair sum skips the M^2 - (occupied
+    # sites)^2 zero terms, so it is faster at large M only: a route for
+    # M >= ~20, not the one runs take.
+    assert set(KERNELS) == set(INTERACTIONS)
+    grid = Grid(M, 8 / M)
+    basis = enumerate_basis(M, N)
+    for kind, params in KERNELS.items():
+        for p in params:
+            w = sample_interaction(grid, kind, **p)
+            assert_same_array(interaction_diagonal(w, basis), occupied_pair_sum(w, basis), kind)
 
 
 def test_product_state_normalized_and_condensed(rng, grid6):
