@@ -102,7 +102,7 @@ def _lowering_map(basis: OccupationBasis, k: int):
     the N-k basis the row of t + m in `basis` with the amplitude
     sqrt(prod_x (t_x + m_x)! / t_x!) of a^m = prod_x a_x^(m_x), times the
     mode's weight sqrt(k! / prod_x m_x!). The rows come from range sums, see
-    `_raised_rows`."""
+    `_raised_rows`; an amplitude above the float range is refused."""
     key = ("lower", k)
     if key not in basis._cache:
         if basis.particles < k:
@@ -120,7 +120,13 @@ def _lowering_map(basis: OccupationBasis, k: int):
             raised[modes, x] += 1
             count *= sub.states.T[x] + raised[modes, x][:, None]
         rows = _raised_rows(basis, sub, kb)
-        coef = np.sqrt(count if fits else count.astype(float))
+        try:
+            coef = np.sqrt(count if fits else count.astype(float))
+        except OverflowError:
+            raise ConfigError(
+                f"lowering amplitudes for M={basis.sites}, N={basis.particles}, k={k} "
+                "exceed the float range"
+            ) from None
         coef *= _sqrt_multinomial(kb)[:, None]  # in place: a temporary here raised peak RSS
         basis._cache[key] = (sub, rows, coef)
     return basis._cache[key]
@@ -168,51 +174,44 @@ def annihilate(
     return coef * amps[..., rows], sub
 
 
-def _hop_layout(basis: OccupationBasis, i: np.ndarray, j: np.ndarray, diag: np.ndarray):
+def _hop_layout(basis: OccupationBasis, i: np.ndarray, j: np.ndarray, rows: np.ndarray):
     """CSR layout of the hops of the site pairs (i, j), i != j, and of
-    diagonal entries in the rows `diag`.
+    diagonal entries in the rows `rows`.
 
     For every state t of the N-1 sector a pair's hop goes from t + e_j to
-    t + e_i with amplitude sqrt((t_i + 1)(t_j + 1)). Returns `indptr` and
-    `indices` in canonical order; the permutation `entry` that takes the
-    hops, pair by pair, and then the diagonal entries to CSR order, from
-    one stable sort of the (row, column) keys; and per hop, in that pair
-    order, the flat index i*M + j and the amplitude.
+    t + e_i with amplitude sqrt((t_i + 1)(t_j + 1)). The entries are put in
+    CSR order by one stable sort of the (row, column) keys. Returns
+    `indptr` and `indices`; per entry the flat index i*M + j and the
+    amplitude of its hop (0 and 0.0 on the diagonal); and the CSR position
+    of every diagonal entry.
     """
-    sub, rows, _ = _lowering_map(basis, 1)
+    sub, raised, _ = _lowering_map(basis, 1)
     up = sub.states.T + 1
-    row = np.concatenate([rows[i].ravel(), diag])
-    col = np.concatenate([rows[j].ravel(), diag])
+    row = np.concatenate([raised[i].ravel(), rows])
+    col = np.concatenate([raised[j].ravel(), rows])
     entry = np.argsort(row * basis.dim + col, kind="stable")  # i != j: no two keys are equal
     indptr = np.zeros(basis.dim + 1, dtype=np.int32)
     np.cumsum(np.bincount(row, minlength=basis.dim), out=indptr[1:])
-    ij = np.repeat(i * basis.sites + j, sub.dim)
-    return indptr, col[entry].astype(np.int32), entry, ij, np.sqrt(up[i] * up[j]).ravel()
+    n_hops = row.size - rows.size
+    # one trailing zero: `clip` sends every diagonal entry (entry >= n_hops) to it
+    ij = np.append(np.repeat(i * basis.sites + j, sub.dim), 0).take(entry, mode="clip")
+    amps = np.append(np.sqrt(up[i] * up[j]), 0.0).take(entry, mode="clip")
+    return indptr, col[entry].astype(np.int32), ij, amps, np.flatnonzero(entry >= n_hops)
 
 
 def _onebody_pattern(basis: OccupationBasis):
-    """Static CSR data for dGamma(A) = sum_ij A_ij a_i^dag a_j with any A:
-    the layout of every ordered pair i != j and of the whole diagonal.
-
-    Returns `indptr` and `indices`; per CSR entry the flat index i*M + j
-    and the amplitude of its hop (0 and 0.0 on the diagonal); and the CSR
-    position of every diagonal entry. It holds M(M-1) hops per state of the
-    N-1 sector and serves the dense dGamma(q) of the sector weights alone;
-    H_N lays out only the hops h has.
-    """
+    """`_hop_layout` of every ordered pair i != j and of every row: the
+    layout of dGamma(A) for an A without zeros, cached on the basis, its
+    `indptr` and `indices` read-only. Only a dense dGamma(q) of the sector
+    weights takes it."""
     if "pattern" not in basis._cache:
-        dim = basis.dim
         i, j = np.nonzero(~np.eye(basis.sites, dtype=bool))
-        indptr, indices, entry, ij, amps = _hop_layout(basis, i, j, np.arange(dim))
-        for a in (indptr, indices):
-            a.flags.writeable = False  # shared by every operator built on them
-        basis._cache["pattern"] = (
-            indptr,
-            indices,
-            np.concatenate([ij, np.zeros(dim, dtype=np.intp)])[entry],
-            np.concatenate([amps, np.zeros(dim)])[entry],
-            np.flatnonzero(entry >= ij.size),
-        )
+        pattern = _hop_layout(basis, i, j, np.arange(basis.dim))
+        # shared by every operator built on them; `ij` stays writeable,
+        # because `take` copies a read-only index array on every fill
+        for a in pattern[:2]:
+            a.flags.writeable = False
+        basis._cache["pattern"] = pattern
     return basis._cache["pattern"]
 
 
@@ -226,31 +225,35 @@ def _complex_operator(A, basis: OccupationBasis) -> np.ndarray:
     return A.astype(complex)
 
 
-def second_quantize_onebody(A: np.ndarray, basis: OccupationBasis) -> sp.csr_matrix:
-    """dGamma(A) = sum_ij A_ij a_i^dag a_j on the occupation basis.
+def second_quantize_onebody(
+    A: np.ndarray, basis: OccupationBasis, extra_diag: np.ndarray | None = None
+) -> sp.csr_matrix:
+    """dGamma(A) = sum_ij A_ij a_i^dag a_j on the occupation basis, plus
+    `extra_diag` on the diagonal (H_N's pair term, see `build_HN`).
 
-    The values are filled into the basis's cached all-pairs CSR pattern.
-    Entries that come out zero are dropped and -0.0 parts become +0.0, so
-    the result equals, bit for bit, the sparse sum of the hop matrix and
-    the diagonal. Hop amplitudes are at least 1, so a hop is zero exactly
-    where its entry of A is: zeros are looked for on A and the diagonal,
-    and only then does `eliminate_zeros` run, on a copy of the shared
-    pattern.
+    Only A's nonzero off-diagonal hops and the nonzero entries of the
+    summed diagonal are laid out, by `_hop_layout`; when that is every
+    entry, the basis's cached all-pairs pattern is taken. Hop amplitudes
+    are at least 1, so a hop is zero exactly where its entry of A is, and
+    -0.0 parts become +0.0: the result equals, bit for bit, the sparse sum
+    of the hop matrix and the diagonal.
     """
     A = _complex_operator(A, basis)
-    indptr, indices, ij, amps, diag_pos = _onebody_pattern(basis)
     diag = basis.states.astype(complex) @ np.diag(A)
-    flat = A.ravel()
-    data = flat.take(ij)
+    if extra_diag is not None:
+        diag += extra_diag
+    hops = A != 0
+    np.fill_diagonal(hops, False)  # A's diagonal enters through `diag` only
+    if hops.sum() == basis.sites * (basis.sites - 1) and diag.all():
+        keep = slice(None)
+        indptr, indices, ij, amps, diag_pos = _onebody_pattern(basis)
+    else:
+        keep = np.flatnonzero(diag)
+        indptr, indices, ij, amps, diag_pos = _hop_layout(basis, *np.nonzero(hops), keep)
+    data = A.ravel().take(ij)
     data *= amps
-    data[diag_pos] = diag
+    data[diag_pos] = diag[keep]
     data += 0.0
-    zero_hops = flat == 0
-    zero_hops[:: basis.sites + 1] = False  # A's diagonal enters through `diag` only
-    if zero_hops.any() or not diag.all():
-        out = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(basis.dim, basis.dim))
-        out.eliminate_zeros()
-        return out
     return sp.csr_matrix((data, indices, indptr), shape=(basis.dim, basis.dim))
 
 
@@ -265,23 +268,12 @@ def interaction_diagonal(w: LatticeField, basis: OccupationBasis) -> np.ndarray:
 def build_HN(h: np.ndarray, w: LatticeField, basis: OccupationBasis) -> sp.csr_matrix:
     """H_N = dGamma(h) + (1/N) * pair interaction, as one CSR; N >= 1.
 
-    Only the hops of h's nonzero off-diagonal entries and the nonzero
-    entries of the summed diagonal are laid out, in the order of the
-    all-pairs pattern, so the CSR is, byte for byte, dGamma(h) filled into
-    that pattern with its zeros dropped, plus the pair term.
+    The pair term is diagonal, so H_N is `second_quantize_onebody` of h
+    with it added to the summed diagonal: only h's own hops are laid out.
     """
-    h = _complex_operator(h, basis)
-    diag = basis.states.astype(complex) @ np.diag(h)
     # times 1/N, not / N: the scalar division of a sparse matrix did this
-    diag += interaction_diagonal(w, basis).astype(complex) * (1 / basis.particles)
-    keep = np.flatnonzero(diag)
-    i, j = np.nonzero((h != 0) & ~np.eye(basis.sites, dtype=bool))
-    indptr, indices, entry, ij, amps = _hop_layout(basis, i, j, keep)
-    hops = h.ravel().take(ij)
-    hops *= amps
-    data = np.concatenate([hops, diag[keep]])[entry]
-    data += 0.0
-    return sp.csr_matrix((data, indices, indptr), shape=(basis.dim, basis.dim))
+    pair = interaction_diagonal(w, basis).astype(complex) * (1 / basis.particles)
+    return second_quantize_onebody(h, basis, pair)
 
 
 @dataclass(frozen=True, eq=False)

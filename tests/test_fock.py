@@ -160,6 +160,16 @@ def test_multinomials_above_the_float_range_are_refused():
     assert psi.norm == pytest.approx(1.0, abs=1e-9)
 
 
+def test_lowering_amplitudes_above_the_float_range_are_refused():
+    # sqrt(171!) is the amplitude of a_0^171 on 171 particles at site 0,
+    # and 171! is above the float range while 170! is not.
+    with pytest.raises(ConfigError, match=r"M=2, N=171, k=171"):
+        _lowering_map(enumerate_basis(2, 171), 171)
+    _, _, coef = _lowering_map(enumerate_basis(2, 170), 170)
+    assert np.all(np.isfinite(coef))
+    assert coef.max() == pytest.approx(math.sqrt(float(math.factorial(170))))
+
+
 def test_number_operator_is_N(rng):
     basis = enumerate_basis(3, 4)
     Nop = second_quantize_onebody(np.eye(3), basis)
@@ -248,9 +258,10 @@ def test_csr_fill_is_bit_identical_to_sparse_sum(rng, M, N):
             assert dh.nnz < n_entries
 
 
-@pytest.mark.parametrize("M,N", [(2, 5), (5, 1), (8, 9), (32, 3)])
+@pytest.mark.parametrize("M,N", [(2, 5), (3, 4), (5, 1), (8, 9), (32, 3)])
 def test_HN_from_the_hops_of_h_is_bit_identical_to_sparse_sum(rng, M, N):
-    # At M = 2 both ring neighbours of a site are one site.
+    # At M = 2 both ring neighbours of a site are one site; at M = 3 the
+    # ring has every pair, so H_N takes the cached all-pairs layout.
     grid = Grid(M, 0.7)
     basis = enumerate_basis(M, N)
     trap = build_h(grid, harmonic_potential(grid, 1.3))
@@ -299,9 +310,10 @@ def test_onebody_pattern_equals_the_coo_to_csr_order(M, N):
 
 
 def masked_fill(A, basis, extra_diag=None):
-    """The pattern fill that finds zeros with a mask over every CSR entry:
-    the reference for the fill that finds them on A and the diagonal."""
-    indptr, indices, ij, amps, diag_pos = _onebody_pattern(basis)
+    """The fill of scipy's all-pairs COO->CSR layout that finds zeros with
+    a mask over every CSR entry: the reference for the fill that lays out
+    only the nonzero entries of A and the diagonal."""
+    indptr, indices, ij, amps, diag_pos = coo_pattern(basis)
     diag = basis.states.astype(complex) @ np.diag(A).astype(complex)
     if extra_diag is not None:
         diag += extra_diag
@@ -314,6 +326,26 @@ def masked_fill(A, basis, extra_diag=None):
         data, indices = data[keep], indices[keep]
         indptr = np.concatenate([[0], np.cumsum(keep)])[indptr]
     return sp.csr_matrix((data, indices, indptr), shape=(basis.dim, basis.dim))
+
+
+@pytest.mark.parametrize("zero", ["none", "hop-pair", "diagonal-entry"])
+def test_an_operator_lays_out_its_own_nonzero_entries(rng, zero):
+    M = 5
+    basis = enumerate_basis(M, 3)
+    A = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))
+    if zero == "hop-pair":
+        A[1, 3] = A[3, 1] = 0.0
+    elif zero == "diagonal-entry":
+        A[2, 2] = 0.0  # zero summed diagonal on the state with every particle at site 2
+    got = second_quantize_onebody(A, basis)
+    assert_same_csr(got, sparse_sum_route(A, basis), rng)
+    if zero == "none":  # a dense A takes the cached all-pairs pattern itself
+        indptr, indices = _onebody_pattern(basis)[:2]
+        # scipy keeps `indptr` itself and may store a view of `indices`
+        assert np.shares_memory(got.indptr, indptr) and np.shares_memory(got.indices, indices)
+        assert not got.indptr.flags.writeable and not got.indices.flags.writeable
+    else:
+        assert "pattern" not in basis._cache
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
