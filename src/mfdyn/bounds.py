@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fock import ManyBodyState
-from .lattice import LatticeField, lp_norm, lp_norms
+from .lattice import LatticeField, lp_norms
 from .onebody import Orbital, hartree_energy
 from .propagate import expectation
 
@@ -47,16 +47,16 @@ def conjugate_q(p: float) -> float:
 def wnorm_upper_bound(w: LatticeField, p1: float, p2: float) -> float:
     """Upper bound on ||w||_{L^p1 + L^p2}: the least ||w 1_{|w|>a}||_p1 + ||w 1_{|w|<=a}||_p2
     over a in {0} and the values of |w|, i.e. over every level-set split. Any
-    split upper-bounds the infimum, so envelopes built from this stay valid."""
+    split upper-bounds the infimum, so envelopes built from this stay valid.
+    Each split is one row of a (splits, M) array, and `lp_norms` gives a row
+    the norm its own field would get."""
     if not (2 <= p1 <= p2):
         raise ConfigError(f"need 2 <= p1 <= p2, got p1={p1}, p2={p2}")
-    best = np.inf
     absw = np.abs(w.values)
-    for a in np.unique(np.append(absw, 0.0)):
-        big = LatticeField(w.grid, np.where(absw > a, w.values, 0.0))
-        small = LatticeField(w.grid, np.where(absw > a, 0.0, w.values))
-        best = min(best, lp_norm(big, p1) + lp_norm(small, p2))
-    return float(best)
+    big = absw > np.unique(np.append(absw, 0.0))[:, None]  # one row per split
+    dx = w.grid.spacing
+    sums = lp_norms(np.where(big, absw, 0.0), dx, p1) + lp_norms(np.where(big, 0.0, absw), dx, p2)
+    return float(np.min(sums))
 
 
 def envelope_integrand(flow: np.ndarray, dx: float, p1: float, p2: float) -> np.ndarray:
@@ -73,8 +73,7 @@ def phi_envelope_integral(
 ) -> float:
     """32 ||w||_{L^p1+L^p2} * int_0^t (||phi(s)||_q1 + ||phi(s)||_q2) ds,
     trapezoidal over the step prefix given (t = times[-1])."""
-    integral = np.trapezoid(integrand, times) if len(times) > 1 else 0.0
-    return float(32.0 * w_norm_bound * integral)
+    return 32.0 * w_norm_bound * phi_tilde_integral(integrand, times)
 
 
 def _times_exp(base: float, exponent: float) -> float:
@@ -122,8 +121,8 @@ def phi_tilde_integrand(flow: np.ndarray, dx: float, h: np.ndarray) -> np.ndarra
 
 def phi_tilde_integral(integrand: np.ndarray, times: np.ndarray) -> float:
     """int_0^t (1 + ||phi(s)||^3_{X_1^2 cap L^inf}) ds, trapezoidal over the
-    step prefix given (t = times[-1])."""
-    return float(np.trapezoid(integrand, times)) if len(times) > 1 else 0.0
+    step prefix given (t = times[-1]; 0 for one sample)."""
+    return float(np.trapezoid(integrand, times))
 
 
 def beta_bound_envelope(

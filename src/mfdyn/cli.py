@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: simulate, sweep, envelope, eta-curve, check.
-Exit codes: 0 success, 1 invalid configuration, 2 numerical failure,
+Exit codes: 0 success, 1 invalid configuration (a run too large for
+memory, or whose child was killed, included), 2 numerical failure,
 3 invariant-suite failure or violated alpha envelope.
 """
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 from dataclasses import fields
 from fractions import Fraction
 
-from .errors import ConfigError, NumericalFailure
+from .errors import ChildLost, ConfigError, NumericalFailure
 from .harness import (
     INITIALS,
     INTERACTIONS,
@@ -152,22 +153,19 @@ def cmd_envelope(args) -> int:
 
 
 def cmd_eta_curve(args) -> int:
-    try:
-        d = int(args.dim)
-    except ValueError as exc:
-        raise ConfigError(f"dim: {exc}") from None
+    d = parse_setting("dim", args.dim)
     try:
         ps = [Fraction(s) for s in comma_fields(args.p_grid, "p-grid")]
         if not ps:
             raise ValueError("no p values")
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"p-grid: {exc}") from None
-    _check_out(args.out or "")
+    _check_out(args.out)
     rows, skipped = eta_curve(d, ps)
     for p in skipped:
         print(f"# warning: p={p} outside (p0, 2], skipped", file=sys.stderr)
     lines = ["p,eta"] + [f"{float(p):.12f},{float(e):.12f}" for p, e in rows]
-    _emit("\n".join(lines) + "\n", args.out or "")
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -197,10 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_run_command(sub, "envelope", cmd_envelope, "single run, alpha against its envelope")
 
     sp = sub.add_parser("eta-curve", help="rate exponent eta over a p grid")
-    sp.add_argument("--dim", default="3", help="spatial dimension d of the rate exponent")
+    sp.add_argument("--dim", default=str(RunConfig.dim),
+                    help="spatial dimension d of the rate exponent")
     sp.add_argument("--p-grid", dest="p_grid", required=True,
                     help="comma-separated p values, fractions allowed (3/2)")
-    sp.add_argument("--out")
+    sp.add_argument("--out", default="")
     sp.set_defaults(fn=cmd_eta_curve)
 
     sp = sub.add_parser("check", help="run an invariant suite")
@@ -215,7 +214,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:] if argv is None else argv
         args = build_parser().parse_args(join_flag_values(argv))
         return args.fn(args)
-    except (ConfigError, MemoryError) as exc:  # a run too large to allocate is bad input too
+    # a run too large to allocate is bad input too, and so is one whose
+    # child the out-of-memory killer ended
+    except (ConfigError, MemoryError, ChildLost) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except NumericalFailure as exc:

@@ -215,16 +215,6 @@ def _onebody_pattern(basis: OccupationBasis):
     return basis._cache["pattern"]
 
 
-def _complex_operator(A, basis: OccupationBasis) -> np.ndarray:
-    """A one-body operator as a complex M x M array; another shape is refused."""
-    A = np.asarray(A)
-    if A.shape != (basis.sites, basis.sites):
-        raise ConfigError(
-            f"operator shape {A.shape} does not match M={basis.sites}"
-        )
-    return A.astype(complex)
-
-
 def second_quantize_onebody(
     A: np.ndarray, basis: OccupationBasis, extra_diag: np.ndarray | None = None
 ) -> sp.csr_matrix:
@@ -238,7 +228,10 @@ def second_quantize_onebody(
     -0.0 parts become +0.0: the result equals, bit for bit, the sparse sum
     of the hop matrix and the diagonal.
     """
-    A = _complex_operator(A, basis)
+    A = np.asarray(A)
+    if A.shape != (basis.sites, basis.sites):
+        raise ConfigError(f"operator shape {A.shape} does not match M={basis.sites}")
+    A = A.astype(complex)
     diag = basis.states.astype(complex) @ np.diag(A)
     if extra_diag is not None:
         diag += extra_diag
@@ -260,6 +253,8 @@ def second_quantize_onebody(
 def interaction_diagonal(w: LatticeField, basis: OccupationBasis) -> np.ndarray:
     """sum_{x<y} w(d(x,y)) n_x n_y + (1/2) w(0) sum_x n_x (n_x - 1), the
     diagonal of the pair interaction on the occupation basis."""
+    if w.grid.sites != basis.sites:
+        raise ConfigError(f"interaction on {w.grid.sites} sites does not match M={basis.sites}")
     W = convolution_kernel_matrix(w)
     occ = basis.states.astype(float)
     return 0.5 * np.einsum("sx,xy,sy->s", occ, W, occ) - 0.5 * W[0, 0] * occ.sum(axis=1)

@@ -29,7 +29,7 @@ from .bounds import (
     wnorm_upper_bound,
 )
 from .condensate import MAX_N, alpha_of, beta_of, occupation_weights, pair_depletion_of
-from .errors import ConfigError, NumericalFailure
+from .errors import ChildLost, ConfigError, NumericalFailure
 from .fock import ManyBodyState, build_HN, enumerate_basis, product_state
 from .lattice import INTERACTIONS, Grid, LatticeField, sample_interaction
 from .onebody import (
@@ -446,7 +446,7 @@ def _in_child(items):
     through a pipe, equal bit for bit to those of a one-process, one-thread
     run; elsewhere it runs in this process. A failure in the child is
     raised from the iterator with its own type and message, and a stream
-    that ends without the end mark raises RuntimeError. The child is
+    that ends without the end mark raises ChildLost. The child is
     reaped on leaving the block, and killed first if the block fails."""
     if not pin_one_thread() or len(os.sched_getaffinity(0)) < 2:
         yield items
@@ -497,7 +497,7 @@ def _received(pipe):
         try:
             tag, payload = pickle.load(pipe)
         except (EOFError, pickle.UnpicklingError):
-            raise RuntimeError("the child process ended before its end mark") from None
+            raise ChildLost("the child process ended before its end mark") from None
         if tag == "failure":
             raise payload
         if tag == "end":
@@ -582,15 +582,15 @@ def _sweep_worker(jobs: int, configs: dict, side: HartreeSide):
 
 
 def eta_curve(d: int, p_values: list[Fraction]):
-    """(p, eta) rows, exact rationals; out-of-range p values are skipped."""
-    p0 = p0_of(d)
+    """(p, eta) rows, exact rationals; the p values `eta_of` refuses are
+    skipped, and a d that `p0_of` refuses is raised."""
+    p0_of(d)
     rows, skipped = [], []
-    for p in p_values:
-        p = Fraction(p)
-        if not (p0 < p <= 2):
+    for p in map(Fraction, p_values):
+        try:
+            rows.append((p, eta_of(p, d)))
+        except ConfigError:
             skipped.append(p)
-            continue
-        rows.append((p, eta_of(p, d)))
     return rows, skipped
 
 

@@ -125,18 +125,18 @@ class HartreeStepper:
         self.grid = grid
         self.dt = dt
         self._W = circulant(w)  # the mean field is dx * (W @ |phi|^2)
-        self._v = v  # LatticeField, callable t -> LatticeField, or None
-        if not callable(v):
-            self._v_static = np.zeros(grid.sites) if v is None else v.real_values()
+        # a callable v is read at each step's midpoint, a static or absent one once
+        if callable(v):
+            self._v_at = lambda t: v(t).real_values()
+        else:
+            values = np.zeros(grid.sites) if v is None else v.real_values()
+            self._v_at = lambda t: values
         self._kin_half = np.exp(-0.5j * dt * laplacian_eigenvalues(grid))
-
-    def _v_values(self, t_mid: float) -> np.ndarray:
-        return self._v(t_mid).real_values() if callable(self._v) else self._v_static
 
     def step(self, values: np.ndarray, t: float) -> np.ndarray:
         psi = np.fft.ifft(self._kin_half * np.fft.fft(values))
         wphi = (self.grid.spacing * (self._W @ np.abs(psi) ** 2)).real
-        psi = psi * np.exp(-1j * self.dt * (self._v_values(t + 0.5 * self.dt) + wphi))
+        psi = psi * np.exp(-1j * self.dt * (self._v_at(t + 0.5 * self.dt) + wphi))
         return np.fft.ifft(self._kin_half * np.fft.fft(psi))
 
 

@@ -172,6 +172,33 @@ def test_wnorm_is_the_least_level_set_split(w, p1, p2):
     assert got <= _quartile_bound(w, p1, p2)
 
 
+def test_wnorm_equals_the_per_split_loop_bit_for_bit():
+    # oracle: the loop over a in {0} and the values of |w| with one pair of
+    # fields per split, as wnorm_upper_bound once ran it; the one-array pass
+    # must give its float bit for bit
+    rng = np.random.default_rng(11)
+    for M, dx in [(2, 1.0), (3, 0.7), (8, 1.0), (17, 0.3), (64, 0.05)]:
+        grid = Grid(M, dx)
+        kernels = [
+            sample_interaction(grid, "constant", c=0.0),
+            sample_interaction(grid, "constant", c=-1.5),
+            sample_interaction(grid, "gaussian", lam=2.0, sigma=1.0),
+            sample_interaction(grid, "softcoulomb", lam=1.0, eps=0.5),
+            sample_interaction(grid, "invsquare", lam=1.0),
+            sample_interaction(grid, "random", seed=M),
+            _power_kernel(grid, 0.8),
+            *(LatticeField(grid, 10.0**e * rng.standard_normal(M)) for e in (-3, 0, 3)),
+        ]
+        for w in kernels:
+            absw = np.abs(w.values)
+            for p1, p2 in [(2.0, 2.0), (2.0, np.inf), (2.0, 4.0), (3.0, 6.0), (np.inf, np.inf)]:
+                want = min(
+                    _split_value(w, absw > a, p1, p2) for a in np.unique(np.append(absw, 0.0))
+                )
+                got = wnorm_upper_bound(w, p1, p2)
+                assert type(got) is float and got.hex() == want.hex(), (M, dx, p1, p2)
+
+
 def test_wnorm_finds_a_split_no_quartile_gives():
     w = _peak_on_plateau()
     peak_alone = np.arange(64) == 0

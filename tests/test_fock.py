@@ -449,6 +449,9 @@ def test_annihilate_lowers_sector_and_counts(rng, grid6):
         annihilate(np.ones(basis.dim + 1), basis, 1)
     with pytest.raises(ConfigError, match="does not match M=6"):
         second_quantize_onebody(np.eye(5), basis)
+    w6 = sample_interaction(grid6, "gaussian", lam=1.0, sigma=1.0)
+    with pytest.raises(ConfigError, match="interaction on 6 sites does not match M=8"):
+        build_HN(build_h(Grid(8, 1.0)), w6, enumerate_basis(8, 3))
     with pytest.raises(ConfigError, match="different site counts"):
         product_state(phi, enumerate_basis(5, 3))
 

@@ -518,9 +518,8 @@ def test_sweep_failure_drops_the_runs_still_waiting(tmp_path, monkeypatch):
         assert no_child_left()
 
 
-def test_sweep_worker_killed_mid_sweep_raises_instead_of_dropping_its_runs(monkeypatch):
-    if not runs_would_fork():
-        pytest.skip("the sweep runs in this process")
+def kill_the_sweep_worker_of_N3(monkeypatch):
+    """Plant a SIGKILL in the sweep worker that records N = 3."""
     test_pid = os.getpid()
 
     def dying_records(cfg, *args):
@@ -529,6 +528,28 @@ def test_sweep_worker_killed_mid_sweep_raises_instead_of_dropping_its_runs(monke
         return []
 
     monkeypatch.setattr(harness, "_records", dying_records)
+
+
+def kill_the_stepping_child_at_step_3(monkeypatch):
+    """Plant a SIGKILL in the stepping child at its third step."""
+    test_pid = os.getpid()
+
+    class DyingStepper(harness.NBodyStepper):
+        calls = 0
+
+        def step(self, amps):
+            self.calls += 1
+            if self.calls == 3 and os.getpid() != test_pid:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return super().step(amps)
+
+    monkeypatch.setattr(harness, "NBodyStepper", DyingStepper)
+
+
+def test_sweep_worker_killed_mid_sweep_raises_instead_of_dropping_its_runs(monkeypatch):
+    if not runs_would_fork():
+        pytest.skip("the sweep runs in this process")
+    kill_the_sweep_worker_of_N3(monkeypatch)
     with pytest.raises(RuntimeError, match="ended before its end mark"):
         sweep_N(make_config(**FAST, particles_list=(2, 3, 4)))
     assert no_child_left()
@@ -555,18 +576,7 @@ def test_run_raises_a_stepping_failure_with_its_type_and_message(monkeypatch, er
 def test_run_with_a_killed_stepping_child_raises_instead_of_ending_early(monkeypatch):
     if not runs_would_fork():
         pytest.skip("the run steps in this process")
-    test_pid = os.getpid()
-
-    class DyingStepper(harness.NBodyStepper):
-        calls = 0
-
-        def step(self, amps):
-            self.calls += 1
-            if self.calls == 3 and os.getpid() != test_pid:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return super().step(amps)
-
-    monkeypatch.setattr(harness, "NBodyStepper", DyingStepper)
+    kill_the_stepping_child_at_step_3(monkeypatch)
     with pytest.raises(RuntimeError, match="ended before its end mark"):
         run_simulation(make_config(**FAST))
     assert no_child_left()
@@ -721,6 +731,9 @@ def test_eta_curve_rows_and_skips():
         (Fraction(3, 2), Fraction(1, 3)),
         (Fraction(2, 1), Fraction(1, 2)),
     ]
+    # a dimension p0_of refuses is raised, not taken as a reason to skip every p
+    with pytest.raises(ConfigError, match="dimension must be >= 1"):
+        eta_curve(0, [Fraction(3, 2)])
 
 
 # --- CLI ---------------------------------------------------------------
@@ -778,6 +791,24 @@ def test_cli_sweep_numerical_failure_in_a_worker(capfd):
     err = capfd.readouterr().err  # file-descriptor capture sees the workers too
     assert err.count("numerical failure:") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, plant",
+    [("simulate", kill_the_stepping_child_at_step_3), ("sweep", kill_the_sweep_worker_of_N3)],
+    ids=["simulate", "sweep"],
+)
+def test_cli_reports_a_killed_child_in_one_line(command, plant, monkeypatch, capfd):
+    if not runs_would_fork():
+        pytest.skip("the run steps in this process")
+    plant(monkeypatch)
+    argv = [f"--{key}={value}" for key, value in FAST.items()]
+    if command == "sweep":
+        argv.append("--particles-list=2,3,4")
+    assert main([command, *argv]) == 1
+    # file-descriptor capture sees the children too
+    assert capfd.readouterr().err == "error: the child process ended before its end mark\n"
+    assert no_child_left()
 
 
 def test_cli_envelope_runs(tmp_path, capfd):
