@@ -302,7 +302,7 @@ def conservation_suite() -> list[CheckResult]:
     h = build_h(grid)
     phi0 = Orbital.normalized(grid, np.exp(-((grid.coords - 3.0) ** 2)))
     dt, steps = 1e-3, 1000
-    flow = evolve_hartree(grid, None, w, phi0, dt, steps)
+    flow = evolve_hartree(None, w, phi0, dt, steps)
     masses = grid.spacing * np.sum(np.abs(flow) ** 2, axis=1)
     energies_h = np.array([hartree_energy(Orbital(grid, values), h, w) for values in flow])
     e0 = energies_h[0]

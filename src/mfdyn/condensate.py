@@ -63,8 +63,7 @@ def moment_weights(A, amps: np.ndarray, N: int) -> np.ndarray:
         v = A @ v
         mu.append(np.real(np.vdot(amps, v)))
     nodes = np.arange(N + 1, dtype=float)
-    V = nodes[None, :] ** np.arange(N + 1)[:, None]
-    V[0] = 1.0  # 0^0 = 1
+    V = nodes[None, :] ** np.arange(N + 1)[:, None]  # 0.0**0 is 1.0
     return np.linalg.solve(V, np.array(mu))
 
 

@@ -228,10 +228,9 @@ def second_quantize_onebody(
     -0.0 parts become +0.0: the result equals, bit for bit, the sparse sum
     of the hop matrix and the diagonal.
     """
-    A = np.asarray(A)
+    A = np.asarray(A, dtype=complex)
     if A.shape != (basis.sites, basis.sites):
         raise ConfigError(f"operator shape {A.shape} does not match M={basis.sites}")
-    A = A.astype(complex)
     diag = basis.states.astype(complex) @ np.diag(A)
     if extra_diag is not None:
         diag += extra_diag
@@ -257,7 +256,7 @@ def interaction_diagonal(w: LatticeField, basis: OccupationBasis) -> np.ndarray:
         raise ConfigError(f"interaction on {w.grid.sites} sites does not match M={basis.sites}")
     W = convolution_kernel_matrix(w)
     occ = basis.states.astype(float)
-    return 0.5 * np.einsum("sx,xy,sy->s", occ, W, occ) - 0.5 * W[0, 0] * occ.sum(axis=1)
+    return 0.5 * np.einsum("sx,xy,sy->s", occ, W, occ) - 0.5 * W[0, 0] * basis.particles
 
 
 def build_HN(h: np.ndarray, w: LatticeField, basis: OccupationBasis) -> sp.csr_matrix:
@@ -267,7 +266,7 @@ def build_HN(h: np.ndarray, w: LatticeField, basis: OccupationBasis) -> sp.csr_m
     with it added to the summed diagonal: only h's own hops are laid out.
     """
     # times 1/N, not / N: the scalar division of a sparse matrix did this
-    pair = interaction_diagonal(w, basis).astype(complex) * (1 / basis.particles)
+    pair = interaction_diagonal(w, basis) * (1 / basis.particles)
     return second_quantize_onebody(h, basis, pair)
 
 

@@ -77,8 +77,7 @@ class RunConfig:
                 raise ConfigError(
                     f"{name} must be positive and finite, got {getattr(self, name)}"
                 )
-        ratio = self.tfinal / self.dt
-        steps = round(ratio) if ratio < math.inf else 0
+        steps = self.steps
         if steps < 1 or abs(steps * self.dt - self.tfinal) > 1e-9 * max(1.0, self.tfinal):
             raise ConfigError("tfinal must be a positive integer multiple of dt")
         if list(self.particles_list) != sorted(set(self.particles_list)):
@@ -93,10 +92,9 @@ class RunConfig:
         if not 0 < self.K < math.inf:
             raise ConfigError(f"K must be positive and finite, got {self.K}")
         try:
-            p = Fraction(self.p)
+            self.eta  # validates p against (p0, 2]
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"p: {exc}") from None
-        eta_of(p, self.dim)  # validates p against (p0, 2]
         _parse_spec(self.potential, POTENTIALS, "potential")
         _parse_spec(self.interaction, INTERACTIONS, "interaction")
         if self.initial:
@@ -104,7 +102,9 @@ class RunConfig:
 
     @property
     def steps(self) -> int:
-        return round(self.tfinal / self.dt)
+        """round(tfinal / dt), or 0 where that ratio overflows."""
+        ratio = self.tfinal / self.dt
+        return round(ratio) if ratio < math.inf else 0
 
     @property
     def eta(self) -> Fraction:
@@ -327,7 +327,7 @@ def hartree_side(cfg: RunConfig, problem: LatticeProblem) -> HartreeSide:
     exponents up to every record step; `problem` is `lattice_problem(cfg)`."""
     grid, v, w, h, phi0, record_steps = problem
     steps = cfg.steps
-    flow = evolve_hartree(grid, v, w, phi0, cfg.dt, steps)
+    flow = evolve_hartree(v, w, phi0, cfg.dt, steps)
     times = cfg.dt * np.arange(steps + 1)
     w_bound = wnorm_upper_bound(w, cfg.p1, cfg.p2)
     env = envelope_integrand(flow, cfg.dx, cfg.p1, cfg.p2)

@@ -57,11 +57,18 @@ class Orbital:
         return LatticeField(self.grid, np.abs(self.values) ** 2)
 
 
+def _on(grid: Grid, f: LatticeField, name: str) -> LatticeField:
+    """f, refused unless it is sampled on `grid`, spacing included."""
+    if f.grid != grid:
+        raise ConfigError(f"{name} on {f.grid} does not match {grid}")
+    return f
+
+
 def build_h(grid: Grid, v: LatticeField | None = None) -> np.ndarray:
-    """-Laplacian stencil plus a real multiplicative trap v."""
-    h = laplacian_matrix(grid).astype(float)
+    """-Laplacian stencil plus a real multiplicative trap v on the same grid."""
+    h = laplacian_matrix(grid)
     if v is not None:
-        h = h + np.diag(v.real_values())
+        h = h + np.diag(_on(grid, v, "v").real_values())
     return h
 
 
@@ -105,6 +112,8 @@ def mean_field_potential(w: LatticeField, phi: Orbital) -> LatticeField:
 def hartree_energy(phi: Orbital, h: np.ndarray, w: LatticeField) -> float:
     """<phi, h phi> + (1/2) integral w(x-y) |phi(x)|^2 |phi(y)|^2."""
     u = phi.mode
+    if h.shape != (u.size, u.size):
+        raise ConfigError(f"operator shape {h.shape} does not match M={u.size}")
     kin = np.real(np.vdot(u, h @ u))
     wphi = mean_field_potential(w, phi).values.real
     pot = 0.5 * phi.grid.spacing * float(np.abs(phi.values) ** 2 @ wphi)
@@ -112,24 +121,24 @@ def hartree_energy(phi: Orbital, h: np.ndarray, w: LatticeField) -> float:
 
 
 class HartreeStepper:
-    """Strang splitting for i d/dt phi = (-Lap + v) phi + (w * |phi|^2) phi.
+    """Strang splitting for i d/dt phi = (-Lap + v) phi + (w * |phi|^2) phi on w's grid.
 
     The kinetic half-steps diagonalize the stencil Laplacian by DFT and the
     nonlinear phase step is exact (|phi|^2 is invariant under it), so the
     mass is conserved to roundoff and the energy drift is O(dt^2).
     """
 
-    def __init__(self, grid: Grid, v, w: LatticeField, dt: float):
+    def __init__(self, v, w: LatticeField, dt: float):
         if not dt > 0:
             raise ConfigError(f"dt must be positive, got {dt}")
-        self.grid = grid
+        self.grid = grid = w.grid
         self.dt = dt
         self._W = circulant(w)  # the mean field is dx * (W @ |phi|^2)
         # a callable v is read at each step's midpoint, a static or absent one once
         if callable(v):
             self._v_at = lambda t: v(t).real_values()
         else:
-            values = np.zeros(grid.sites) if v is None else v.real_values()
+            values = np.zeros(grid.sites) if v is None else _on(grid, v, "v").real_values()
             self._v_at = lambda t: values
         self._kin_half = np.exp(-0.5j * dt * laplacian_eigenvalues(grid))
 
@@ -140,20 +149,14 @@ class HartreeStepper:
         return np.fft.ifft(self._kin_half * np.fft.fft(psi))
 
 
-def evolve_hartree(
-    grid: Grid,
-    v,
-    w: LatticeField,
-    phi0: Orbital,
-    dt: float,
-    steps: int,
-) -> np.ndarray:
-    """Integrate the Hartree equation: a (steps + 1, M) array whose row k
-    holds the orbital's values at t = k * dt. The whole flow is checked
-    once: every row must be finite and normalized, as an `Orbital` would
-    be, and the first row that is not names the start t of the step that
-    produced it."""
-    stepper = HartreeStepper(grid, v, w, dt)
+def evolve_hartree(v, w: LatticeField, phi0: Orbital, dt: float, steps: int) -> np.ndarray:
+    """Integrate the Hartree equation on phi0's grid, which w and a static v
+    must share: a (steps + 1, M) array whose row k holds the orbital's
+    values at t = k * dt. The whole flow is checked once: every row must be
+    finite and normalized, as an `Orbital` would be, and the first row that
+    is not names the start t of the step that produced it."""
+    grid = phi0.grid
+    stepper = HartreeStepper(v, _on(grid, w, "w"), dt)
     flow = np.empty((steps + 1, grid.sites), dtype=complex)
     flow[0] = phi0.values
     for k in range(steps):

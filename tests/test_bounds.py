@@ -212,7 +212,7 @@ def test_phi_integral_sup_norm_case(grid6, gaussian_w):
     # p1 = p2 = inf gives q1 = q2 = 2 and ||phi||_2 = 1, so the integrand is
     # the constant 64 ||w||_inf
     phi0 = gaussian_orbital(grid6, x0=3.0, sigma=1.0)
-    flow = evolve_hartree(grid6, None, gaussian_w, phi0, dt=1e-2, steps=100)
+    flow = evolve_hartree(None, gaussian_w, phi0, dt=1e-2, steps=100)
     times = 1e-2 * np.arange(101)
     integrand = envelope_integrand(flow, grid6.spacing, np.inf, np.inf)
     winf = lp_norm(gaussian_w, np.inf)
@@ -233,7 +233,7 @@ def test_envelope_integrands_on_the_flow_array(M, dx):
     w = sample_interaction(grid, "softcoulomb", lam=1.0, eps=0.5)
     h = build_h(grid)
     phi0 = gaussian_orbital(grid, x0=0.4 * grid.length, sigma=0.8)
-    flow = evolve_hartree(grid, None, w, phi0, dt=1e-2, steps=60)
+    flow = evolve_hartree(None, w, phi0, dt=1e-2, steps=60)
     fields = [LatticeField(grid, values) for values in flow]
     # (q1, q2) = (2, 2), (4, 2), (inf, 4), (inf, 2)
     for p1, p2 in ((np.inf, np.inf), (4.0, np.inf), (2.0, 4.0), (2.0, np.inf)):
@@ -304,7 +304,7 @@ def test_sobolev_sup_norm_plane_wave(grid6, h6):
 
 def test_phi_tilde_integral_monotone(grid6, gaussian_w, h6):
     phi0 = gaussian_orbital(grid6, x0=3.0, sigma=1.0)
-    flow = evolve_hartree(grid6, None, gaussian_w, phi0, dt=1e-2, steps=100)
+    flow = evolve_hartree(None, gaussian_w, phi0, dt=1e-2, steps=100)
     times = 1e-2 * np.arange(101)
     integrand = phi_tilde_integrand(flow, grid6.spacing, h6)
     vals = [phi_tilde_integral(integrand[: k + 1], times[: k + 1]) for k in (0, 25, 50, 100)]

@@ -274,7 +274,9 @@ def test_HN_from_the_hops_of_h_is_bit_identical_to_sparse_sum(rng, M, N):
     for h in (build_h(grid), trap, signed, flat):
         for w in (no_pair, sample_interaction(grid, "random", seed=M)):
             pair = interaction_diagonal(w, basis)
+            before = h.tobytes()
             got = build_HN(h, w, basis)
+            assert h.tobytes() == before  # h is read, never written
             assert_same_csr(got, sparse_sum_route(h, basis, pair), rng)
             assert_same_csr(got, masked_fill(h, basis, pair.astype(complex) * (1 / N)), rng)
     # with h's diagonal and w zero, every diagonal entry is zero and dropped
@@ -337,7 +339,9 @@ def test_an_operator_lays_out_its_own_nonzero_entries(rng, zero):
         A[1, 3] = A[3, 1] = 0.0
     elif zero == "diagonal-entry":
         A[2, 2] = 0.0  # zero summed diagonal on the state with every particle at site 2
+    before = A.tobytes()
     got = second_quantize_onebody(A, basis)
+    assert A.tobytes() == before  # A is read, never written
     assert_same_csr(got, sparse_sum_route(A, basis), rng)
     if zero == "none":  # a dense A takes the cached all-pairs pattern itself
         indptr, indices = _onebody_pattern(basis)[:2]

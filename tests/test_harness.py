@@ -143,7 +143,7 @@ def test_records_use_hartree_orbital_of_their_step():
     v = potential_field(cfg, grid)
     w = interaction_field(cfg, grid)
     h = build_h(grid, v)
-    flow = evolve_hartree(grid, v, w, initial_orbital(cfg, grid, h), cfg.dt, cfg.steps)
+    flow = evolve_hartree(v, w, initial_orbital(cfg, grid, h), cfg.dt, cfg.steps)
     times = cfg.dt * np.arange(cfg.steps + 1)
     w_bound = wnorm_upper_bound(w, cfg.p1, cfg.p2)
     fields = [LatticeField(grid, values) for values in flow]

@@ -108,14 +108,14 @@ def test_hartree_plane_wave_exact(grid6):
     # stationary for the zero-momentum plane wave
     phi0 = Orbital.normalized(grid6, np.ones(6))
     w = sample_interaction(grid6, "gaussian", lam=1.0, sigma=1.0)
-    flow = evolve_hartree(grid6, None, w, phi0, dt=1e-2, steps=200)
+    flow = evolve_hartree(None, w, phi0, dt=1e-2, steps=200)
     rho_t = np.abs(flow[-1]) ** 2
     assert np.allclose(rho_t, np.abs(phi0.values) ** 2, atol=1e-12)
 
 
 def test_hartree_mass_conservation(grid6, gaussian_w):
     phi0 = gaussian_orbital(grid6, x0=3.0, sigma=0.7)
-    flow = evolve_hartree(grid6, None, gaussian_w, phi0, dt=1e-3, steps=500)
+    flow = evolve_hartree(None, gaussian_w, phi0, dt=1e-3, steps=500)
     for values in flow[::50]:
         assert abs(grid6.spacing * np.sum(np.abs(values) ** 2) - 1.0) < 1e-10
 
@@ -125,7 +125,7 @@ def test_hartree_energy_drift_second_order(grid6, gaussian_w):
     phi0 = gaussian_orbital(grid6, x0=3.0, sigma=0.7)
 
     def drift(dt, steps):
-        flow = evolve_hartree(grid6, None, gaussian_w, phi0, dt, steps)
+        flow = evolve_hartree(None, gaussian_w, phi0, dt, steps)
         e = np.array([hartree_energy(Orbital(grid6, values), h, gaussian_w) for values in flow])
         return float(np.max(np.abs(e - e[0])))
 
@@ -141,7 +141,7 @@ def test_strang_splitting_second_order_in_state(grid6, gaussian_w):
 
     def solve(dt):
         steps = int(round(T / dt))
-        return evolve_hartree(grid6, None, gaussian_w, phi0, dt, steps)[-1]
+        return evolve_hartree(None, gaussian_w, phi0, dt, steps)[-1]
 
     ref = solve(T / 3200)
     e1 = np.linalg.norm(solve(T / 100) - ref)
@@ -161,8 +161,8 @@ def test_uniform_drive_is_a_pure_phase(grid6, gaussian_w):
 
     phi0 = gaussian_orbital(grid6, x0=2.0, sigma=0.8)
     dt, steps = 0.05, 20
-    driven = evolve_hartree(grid6, drive, gaussian_w, phi0, dt, steps)
-    free = evolve_hartree(grid6, None, gaussian_w, phi0, dt, steps)
+    driven = evolve_hartree(drive, gaussian_w, phi0, dt, steps)
+    free = evolve_hartree(None, gaussian_w, phi0, dt, steps)
     mids = dt * (np.arange(steps) + 0.5)
     for k in range(steps + 1):
         phase = np.exp(-1j * dt * sum(c(t) for t in mids[:k]))
@@ -178,9 +178,9 @@ def test_flow_array_equals_stepping_by_hand(grid8, drive):
     v = {"none": None, "static": trap, "callable": lambda t: trap}[drive]
     phi0 = gaussian_orbital(grid8, x0=1.5, sigma=0.6)
     dt, steps = 2e-3, 40
-    flow = evolve_hartree(grid8, v, w, phi0, dt, steps)
+    flow = evolve_hartree(v, w, phi0, dt, steps)
     assert flow.shape == (steps + 1, grid8.sites)
-    stepper = HartreeStepper(grid8, v, w, dt)
+    stepper = HartreeStepper(v, w, dt)
     vals = phi0.values
     assert np.array_equal(flow[0], vals)
     for k in range(steps):
@@ -203,7 +203,7 @@ def test_flow_names_the_first_nonfinite_step(monkeypatch, grid6, gaussian_w, k):
     monkeypatch.setattr(HartreeStepper, "step", step_nan_from_k)
     phi0 = gaussian_orbital(grid6, x0=2.0, sigma=0.8)
     with pytest.raises(NumericalFailure, match=re.escape(f"nonfinite amplitudes at t={k * dt}")):
-        evolve_hartree(grid6, None, gaussian_w, phi0, dt, steps)
+        evolve_hartree(None, gaussian_w, phi0, dt, steps)
 
 
 @pytest.mark.parametrize(
@@ -230,12 +230,59 @@ def test_flow_names_the_step_that_lost_normalization(
     monkeypatch.setattr(HartreeStepper, "step", step_scaled_from_k)
     phi0 = gaussian_orbital(grid6, x0=2.0, sigma=0.8)
     with pytest.raises(NumericalFailure, match=rf"lost normalization: .* at t={k * dt}$"):
-        evolve_hartree(grid6, None, gaussian_w, phi0, dt, steps)
+        evolve_hartree(None, gaussian_w, phi0, dt, steps)
+
+
+def operands_on(grid: Grid) -> dict:
+    """A trap v, an interaction w, an orbital phi0 and h = build_h(grid, v)."""
+    v = harmonic_potential(grid, omega=1.0)
+    return {
+        "v": v,
+        "w": sample_interaction(grid, "gaussian", lam=1.0, sigma=1.0),
+        "phi0": gaussian_orbital(grid, x0=4.0, sigma=1.0),
+        "h": build_h(grid, v),
+    }
+
+
+SOLVE_GRID = Grid(8, 1.0)
+# each call, handed operands of SOLVE_GRID but for one taken from another grid
+GRID_CALLS = {
+    "evolve_hartree": lambda o: evolve_hartree(o["v"], o["w"], o["phi0"], 1e-3, 2),
+    "HartreeStepper": lambda o: HartreeStepper(o["v"], o["w"], 1e-3),
+    "build_h": lambda o: build_h(SOLVE_GRID, o["v"]),
+    "hartree_energy": lambda o: hartree_energy(o["phi0"], o["h"], o["w"]),
+}
+
+
+@pytest.mark.parametrize(
+    "call,odd,other",
+    [
+        pytest.param(call, odd, other, id=f"{call}-{odd}-{kind}")
+        for call, odd in [
+            ("evolve_hartree", "w"),
+            ("evolve_hartree", "v"),
+            ("evolve_hartree", "phi0"),
+            ("HartreeStepper", "v"),
+            ("build_h", "v"),
+            ("hartree_energy", "h"),
+        ]
+        for kind, other in [("sites", Grid(6, 1.0)), ("spacing", Grid(8, 0.5))]
+        if not (odd == "h" and kind == "spacing")  # a bare 8 x 8 h carries no spacing
+    ],
+)
+def test_an_operand_on_another_grid_is_refused(call, odd, other):
+    operands = {**operands_on(SOLVE_GRID), odd: operands_on(other)[odd]}
+    with pytest.raises(ConfigError) as refused:
+        GRID_CALLS[call](operands)
+    if odd == "h":
+        assert "operator shape (6, 6) does not match M=8" in str(refused.value)
+    else:
+        assert str(SOLVE_GRID) in str(refused.value) and str(other) in str(refused.value)
 
 
 def test_stepper_rejects_bad_dt(grid6, gaussian_w):
     with pytest.raises(ConfigError):
-        HartreeStepper(grid6, None, gaussian_w, dt=0.0)
+        HartreeStepper(None, gaussian_w, dt=0.0)
 
 
 @settings(deadline=None, max_examples=15)
@@ -245,7 +292,7 @@ def test_hartree_time_reversal(seed):
     g = Grid(6, 1.0)
     w = sample_interaction(g, "gaussian", lam=1.0, sigma=1.0)
     phi0 = random_orbital(rng, g)
-    stepper = HartreeStepper(g, None, w, dt=1e-3)
+    stepper = HartreeStepper(None, w, dt=1e-3)
     vals = phi0.values
     for k in range(50):
         vals = stepper.step(vals, k * 1e-3)
