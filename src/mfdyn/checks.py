@@ -357,7 +357,7 @@ def bounds_suite() -> list[CheckResult]:
     grid = Grid(12, 0.5)
     worst_holder = worst_young = 0.0
     for _ in range(200):
-        f = Orbital.normalized(grid, rng.normal(size=12) + 1j * rng.normal(size=12)).field()
+        f = Orbital.normalized(grid, rng.normal(size=12) + 1j * rng.normal(size=12))
         q = float(rng.uniform(2.0, 10.0))
         r = 1.0 / (0.5 * (0.5 + 1.0 / q))
         worst_holder = max(worst_holder, lp_norm(f, r) ** 2 - lp_norm(f, q))

@@ -25,9 +25,9 @@ BASIS_CAP = 200_000
 class OccupationBasis:
     """All occupation vectors of N bosons on M sites, first site descending.
 
-    Data derived from the basis (rank table, lowering maps, the all-pairs
-    CSR pattern of the weights' dGamma(q)) is kept in `_cache`, so it lives
-    exactly as long as the basis.
+    Data derived from the basis (rank table, lowering maps, the last
+    one-body CSR layout) is kept in `_cache`, so it lives exactly as long
+    as the basis.
     """
 
     sites: int
@@ -174,17 +174,25 @@ def annihilate(
     return coef * amps[..., rows], sub
 
 
-def _hop_layout(basis: OccupationBasis, i: np.ndarray, j: np.ndarray, rows: np.ndarray):
-    """CSR layout of the hops of the site pairs (i, j), i != j, and of
-    diagonal entries in the rows `rows`.
+def _hop_layout(basis: OccupationBasis, hops: np.ndarray, rows: np.ndarray):
+    """CSR layout of the hops of the site pairs (i, j) where the M x M mask
+    `hops` is true, never on its diagonal, and of diagonal entries in the
+    rows `rows`.
 
     For every state t of the N-1 sector a pair's hop goes from t + e_j to
     t + e_i with amplitude sqrt((t_i + 1)(t_j + 1)). The entries are put in
     CSR order by one stable sort of the (row, column) keys. Returns
-    `indptr` and `indices`; per entry the flat index i*M + j and the
-    amplitude of its hop (0 and 0.0 on the diagonal); and the CSR position
-    of every diagonal entry.
+    `indptr` and `indices`, read-only and shared by every operator built
+    on them; per entry the flat index i*M + j and the amplitude of its hop
+    (0 and 0.0 on the diagonal); and the CSR position of every diagonal
+    entry. The basis keeps the last layout it made, keyed by `hops` and
+    `rows`, and returns it while they stay the same.
     """
+    key = (hops.tobytes(), rows.tobytes())
+    kept = basis._cache.get("layout")
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    i, j = np.nonzero(hops)
     sub, raised, _ = _lowering_map(basis, 1)
     up = sub.states.T + 1
     row = np.concatenate([raised[i].ravel(), rows])
@@ -192,27 +200,16 @@ def _hop_layout(basis: OccupationBasis, i: np.ndarray, j: np.ndarray, rows: np.n
     entry = np.argsort(row * basis.dim + col, kind="stable")  # i != j: no two keys are equal
     indptr = np.zeros(basis.dim + 1, dtype=np.int32)
     np.cumsum(np.bincount(row, minlength=basis.dim), out=indptr[1:])
+    indices = col[entry].astype(np.int32)
+    # `ij` stays writeable, because `take` copies a read-only index array on every fill
+    indptr.flags.writeable = indices.flags.writeable = False
     n_hops = row.size - rows.size
     # one trailing zero: `clip` sends every diagonal entry (entry >= n_hops) to it
     ij = np.append(np.repeat(i * basis.sites + j, sub.dim), 0).take(entry, mode="clip")
     amps = np.append(np.sqrt(up[i] * up[j]), 0.0).take(entry, mode="clip")
-    return indptr, col[entry].astype(np.int32), ij, amps, np.flatnonzero(entry >= n_hops)
-
-
-def _onebody_pattern(basis: OccupationBasis):
-    """`_hop_layout` of every ordered pair i != j and of every row: the
-    layout of dGamma(A) for an A without zeros, cached on the basis, its
-    `indptr` and `indices` read-only. Only a dense dGamma(q) of the sector
-    weights takes it."""
-    if "pattern" not in basis._cache:
-        i, j = np.nonzero(~np.eye(basis.sites, dtype=bool))
-        pattern = _hop_layout(basis, i, j, np.arange(basis.dim))
-        # shared by every operator built on them; `ij` stays writeable,
-        # because `take` copies a read-only index array on every fill
-        for a in pattern[:2]:
-            a.flags.writeable = False
-        basis._cache["pattern"] = pattern
-    return basis._cache["pattern"]
+    layout = indptr, indices, ij, amps, np.flatnonzero(entry >= n_hops)
+    basis._cache["layout"] = key, layout
+    return layout
 
 
 def second_quantize_onebody(
@@ -222,8 +219,8 @@ def second_quantize_onebody(
     `extra_diag` on the diagonal (H_N's pair term, see `build_HN`).
 
     Only A's nonzero off-diagonal hops and the nonzero entries of the
-    summed diagonal are laid out, by `_hop_layout`; when that is every
-    entry, the basis's cached all-pairs pattern is taken. Hop amplitudes
+    summed diagonal are laid out, by `_hop_layout`; when they are the last
+    operator's, the basis's last layout is taken. Hop amplitudes
     are at least 1, so a hop is zero exactly where its entry of A is, and
     -0.0 parts become +0.0: the result equals, bit for bit, the sparse sum
     of the hop matrix and the diagonal.
@@ -236,12 +233,8 @@ def second_quantize_onebody(
         diag += extra_diag
     hops = A != 0
     np.fill_diagonal(hops, False)  # A's diagonal enters through `diag` only
-    if hops.sum() == basis.sites * (basis.sites - 1) and diag.all():
-        keep = slice(None)
-        indptr, indices, ij, amps, diag_pos = _onebody_pattern(basis)
-    else:
-        keep = np.flatnonzero(diag)
-        indptr, indices, ij, amps, diag_pos = _hop_layout(basis, *np.nonzero(hops), keep)
+    keep = np.flatnonzero(diag)
+    indptr, indices, ij, amps, diag_pos = _hop_layout(basis, hops, keep)
     data = A.ravel().take(ij)
     data *= amps
     data[diag_pos] = diag[keep]

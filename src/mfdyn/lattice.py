@@ -5,7 +5,7 @@ so continuum formulas transcribe verbatim.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -24,18 +24,15 @@ ORBITAL_NORM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class Orbital:
+class Orbital(LatticeField):
     """Normalized one-particle wave function on a grid."""
-
-    grid: Grid
-    values: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
         nrm2 = self.grid.spacing * np.sum(np.abs(vals) ** 2)
         if not abs(nrm2 - 1.0) <= ORBITAL_NORM_TOL:  # NaN fails too
             raise ConfigError(f"orbital is not normalized: |phi|^2 = {nrm2}")
-        object.__setattr__(self, "values", vals)
+        super().__post_init__()
 
     @classmethod
     def normalized(cls, grid: Grid, values) -> "Orbital":
@@ -49,9 +46,6 @@ class Orbital:
     def mode(self) -> np.ndarray:
         """sqrt(dx)-scaled amplitudes; unit vector in the plain 2-norm."""
         return np.sqrt(self.grid.spacing) * self.values
-
-    def field(self) -> LatticeField:
-        return LatticeField(self.grid, self.values)
 
     def density(self) -> LatticeField:
         return LatticeField(self.grid, np.abs(self.values) ** 2)

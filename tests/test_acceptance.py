@@ -23,7 +23,6 @@ the paper's bounds:
   difference, the gap E^Psi - E^phi = -<W>/(2N), which 8b implies.
 """
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np

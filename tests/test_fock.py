@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from mfdyn.checks import dense_oracle, occupation_to_tensor_isometry, symmetrizer
 from mfdyn.errors import ConfigError
 from mfdyn.fock import (
-    ManyBodyState,
+    _hop_layout,
     _lowering_map,
-    _onebody_pattern,
     _sqrt_multinomial,
     annihilate,
     build_HN,
@@ -261,7 +260,7 @@ def test_csr_fill_is_bit_identical_to_sparse_sum(rng, M, N):
 @pytest.mark.parametrize("M,N", [(2, 5), (3, 4), (5, 1), (8, 9), (32, 3)])
 def test_HN_from_the_hops_of_h_is_bit_identical_to_sparse_sum(rng, M, N):
     # At M = 2 both ring neighbours of a site are one site; at M = 3 the
-    # ring has every pair, so H_N takes the cached all-pairs layout.
+    # ring has every pair, so H_N's own layout is the all-pairs layout.
     grid = Grid(M, 0.7)
     basis = enumerate_basis(M, N)
     trap = build_h(grid, harmonic_potential(grid, 1.3))
@@ -284,8 +283,8 @@ def test_HN_from_the_hops_of_h_is_bit_identical_to_sparse_sum(rng, M, N):
 
 
 def coo_pattern(basis):
-    """`_onebody_pattern` as scipy's COO->CSR conversion orders it: the
-    entry numbers go in as data and come out as the permutation."""
+    """The all-pairs `_hop_layout` as scipy's COO->CSR conversion orders
+    it: the entry numbers go in as data and come out as the permutation."""
     M, dim = basis.sites, basis.dim
     t = enumerate_basis(M, basis.particles - 1).states
     i, j = np.nonzero(~np.eye(M, dtype=bool))
@@ -304,7 +303,8 @@ def coo_pattern(basis):
 @pytest.mark.parametrize("M,N", [(2, 5), (4, 3), (8, 4), (8, 6), (12, 6), (3, 40)])
 def test_onebody_pattern_equals_the_coo_to_csr_order(M, N):
     basis = enumerate_basis(M, N)
-    got, want = _onebody_pattern(basis), coo_pattern(basis)
+    got = _hop_layout(basis, ~np.eye(M, dtype=bool), np.arange(basis.dim))
+    want = coo_pattern(basis)
     for name, a, b in zip(("indptr", "indices", "ij", "amps", "diag_pos"), got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     # shared by every operator built on them, as scipy's were by the CSR
@@ -343,13 +343,19 @@ def test_an_operator_lays_out_its_own_nonzero_entries(rng, zero):
     got = second_quantize_onebody(A, basis)
     assert A.tobytes() == before  # A is read, never written
     assert_same_csr(got, sparse_sum_route(A, basis), rng)
-    if zero == "none":  # a dense A takes the cached all-pairs pattern itself
-        indptr, indices = _onebody_pattern(basis)[:2]
-        # scipy keeps `indptr` itself and may store a view of `indices`
-        assert np.shares_memory(got.indptr, indptr) and np.shares_memory(got.indices, indices)
-        assert not got.indptr.flags.writeable and not got.indices.flags.writeable
-    else:
-        assert "pattern" not in basis._cache
+    # an operator with the same nonzero entries takes the kept layout:
+    # scipy keeps `indptr` itself and may store a view of `indices`
+    same = second_quantize_onebody(2 * A, basis)
+    assert_same_csr(same, sparse_sum_route(2 * A, basis), rng)
+    assert np.shares_memory(got.indptr, same.indptr)
+    assert np.shares_memory(got.indices, same.indices)
+    assert not got.indptr.flags.writeable and not got.indices.flags.writeable
+    # one with other nonzero entries is laid out afresh
+    other = A.copy()
+    other[0, 4] = 0.0
+    other = second_quantize_onebody(other, basis)
+    assert not np.shares_memory(got.indptr, other.indptr)
+    assert not np.shares_memory(got.indices, other.indices)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])

@@ -1,6 +1,7 @@
 import ctypes
 import errno
 import glob
+import itertools
 import json
 import math
 import os
@@ -696,6 +697,36 @@ def test_run_without_pinned_pools_or_a_second_core_steps_in_one_process(
         assert blas.openblas_pool() is None
     assert records_csv(run_simulation(cfg).records) == two_processes
     assert pids == [os.getpid()]
+
+
+def test_every_weight_call_of_a_run_reuses_one_layout(monkeypatch):
+    # the dGamma(q) of every record of one N take the layout the first one
+    # made; a run of another N has a basis, and a layout, of its own
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # runs in this process
+    built = []
+
+    def keeping(q, basis, *args, _fn=condensate.second_quantize_onebody):
+        built.append((basis.particles, _fn(q, basis, *args)))
+        return built[-1][1]
+
+    monkeypatch.setattr(condensate, "second_quantize_onebody", keeping)
+    for run, cfg in [
+        (run_simulation, make_config(**FAST)),
+        (sweep_N, make_config(**FAST, particles_list=(2, 3, 4))),
+    ]:
+        built.clear()
+        res = run(cfg)
+        by_N = {}
+        for N, op in built:
+            by_N.setdefault(N, []).append(op.indptr)
+        assert sorted(by_N) == sorted({r.N for r in res.records})
+        records_per_N = cfg.steps // cfg.stride + 1
+        for indptrs in by_N.values():
+            assert len(indptrs) == records_per_N
+            assert all(np.shares_memory(a, indptrs[0]) for a in indptrs)
+        firsts = [indptrs[0] for indptrs in by_N.values()]
+        for a, b in itertools.combinations(firsts, 2):
+            assert not np.shares_memory(a, b)
 
 
 def test_sweep_integrates_each_envelope_once_per_record_step(monkeypatch):

@@ -31,6 +31,14 @@ def test_orbital_normalization(grid6):
     assert np.linalg.norm(phi.mode) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ConfigError):
         Orbital.normalized(grid6, np.zeros(6))
+    # normalized values that do not fit the grid: refused as a field is
+    grid = Grid(8, 1.0)
+    with pytest.raises(ConfigError, match=re.escape("(6,) values for a grid of 8 sites")):
+        Orbital(grid, np.ones(6) / np.sqrt(6))
+    with pytest.raises(ConfigError, match=re.escape("(2, 4) values for a grid of 8 sites")):
+        Orbital(grid, np.ones((2, 4)) / np.sqrt(8))
+    with pytest.raises(ConfigError, match=re.escape("(6,) values for a grid of 8 sites")):
+        Orbital.normalized(grid, np.ones(6))
 
 
 def test_orbital_rejects_nan():

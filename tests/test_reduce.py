@@ -24,7 +24,7 @@ from mfdyn.fock import (
     product_state,
 )
 from mfdyn.lattice import Grid, sample_interaction
-from mfdyn.onebody import Orbital, build_h
+from mfdyn.onebody import build_h
 from mfdyn.propagate import NBodyStepper, PropagatorConfig
 from mfdyn.reduce import DensityMatrix, E_k, R_k, gamma, gamma1, gamma2
 
@@ -177,17 +177,19 @@ def test_pair_modes_are_made_once_and_read_only(rng, grid6, k):
         assert E_k(g, phi) == ek
         assert R_k(g, phi) == rk
     # H_N's hops, gamma1 and gamma2 keep one lowering map per k on the
-    # basis, and the map k is made once. H_N lays out only the hops h has:
-    # the all-pairs pattern is made for the weights' dGamma(q) alone.
+    # basis, and the map k is made once. H_N lays out only the hops h has;
+    # the weights' dGamma(q) then lays out all pairs, and the basis keeps it.
     basis = psi.basis
     HN = build_HN(build_h(grid6), sample_interaction(grid6, "gaussian", lam=1.0, sigma=1.0), basis)
     assert HN.nnz <= 2 * 6 * enumerate_basis(6, 2).dim + basis.dim
     lowered = basis._cache[("lower", k)]
     gamma1(psi), gamma2(psi)
     assert basis._cache[("lower", k)] is lowered
-    assert set(basis._cache) == {"rank", ("lower", 1), ("lower", 2)}
+    assert set(basis._cache) == {"rank", "layout", ("lower", 1), ("lower", 2)}
     occupation_weights(psi, phi)
-    assert set(basis._cache) == {"rank", "pattern", ("lower", 1), ("lower", 2)}
+    assert set(basis._cache) == {"rank", "layout", ("lower", 1), ("lower", 2)}
+    indices = basis._cache["layout"][1][1]
+    assert indices.size == 6 * 5 * enumerate_basis(6, 2).dim + basis.dim
     with pytest.raises(ConfigError):
         gamma(psi, 4)  # k > N
 
